@@ -2,19 +2,21 @@
 
 The interpretations are first encoded as fuzzy labeled graphs (vertex labels
 for atomic concepts and, with nominals, for individuals; edge labels for
-basic roles).  The greatest bisimulation is then computed as a greatest
-fixpoint by monotone refinement over a matrix of degree ranks: every entry
-stays inside the finite set of input degrees plus {0, 1} and only ever
-decreases, so the sweep terminates and Knaster-Tarski gives the greatest
-fixpoint regardless of processing order.
+basic roles).  Under the Godel semantics the d-cuts of the greatest fuzzy
+auto-bisimulation are nested crisp equivalences, one per degree level, so
+the engine computes them level by level in ascending order, refining each
+level's partition by signatures (Blom & Orzan 2005) in the spirit of Nguyen
+& Tran (IEEE TFS 2021).  That chain of partitions is the compact fuzzy
+partition; no n x n matrix is built.  The greatest bisimulation between two
+interpretations is the auto-bisimulation of their disjoint union, restricted
+to the pairs across the two.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .core import (
     Degree,
@@ -32,7 +34,7 @@ from .model import (
     basic_roles,
     normalize_features,
 )
-from .partition import CompactFuzzyPartition, build_partition_from_matrix
+from .partition import CompactFuzzyPartition, partition_from_cuts
 
 
 @dataclass(frozen=True)
@@ -83,203 +85,121 @@ def to_fuzzy_graph(interp: FuzzyInterpretation, features: Iterable[str] | None) 
 
 @dataclass
 class BisimResult:
-    """Greatest bisimulation plus the number of refinement sweeps it took."""
+    """Greatest bisimulation plus the number of signature rounds it took."""
 
     Z: FuzzyRelation
     iterations: int
 
 
 # --------------------------------------------------------------------------
-# rank-matrix engine
+# level-wise signature refinement
 # --------------------------------------------------------------------------
 
 
-def _universe(graphs: Sequence[FuzzyLabeledGraph]) -> List[int]:
-    scaled = {0, SCALE}
-    for g in graphs:
-        for fset in g.labels.values():
-            scaled.update(d.scaled for _, d in fset.items())
-        for rel in g.edges.values():
-            scaled.update(d.scaled for _, d in rel.items())
-    return sorted(scaled)
+def _split(block: List[int], keys: Sequence) -> Tuple[List[int], int]:
+    """Refine the classes in ``block`` by ``keys``, numbering the new classes
+    by their least vertex; returns the new classes and their count."""
+    ids: Dict[Tuple[int, object], int] = {}
+    out = [ids.setdefault((b, k), len(ids)) for b, k in zip(block, keys)]
+    return out, len(ids)
 
 
-def _dtype_for(nranks: int):
-    return np.int16 if nranks < 2 ** 15 - 1 else np.int32
+def _refine(g: FuzzyLabeledGraph) -> Tuple[List[Degree], List[List[int]], int]:
+    """The d-cuts of the greatest fuzzy auto-bisimulation of a graph.
 
+    Returns the degree levels in ascending order (the last one is 1), the
+    class of every vertex in each level's cut, and the signature rounds
+    summed over all levels, each level's final round that splits nothing
+    included.
 
-class _Adjacency:
-    """Per-role CSR-ish arrays: for each source, its targets and edge ranks."""
-
-    def __init__(self, rel: FuzzyRelation, rank_of: Dict[int, int], dtype):
-        self.out: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self.preds_of: Dict[int, List[int]] = {}
-        for x in rel.sources():
-            pairs = rel.successors(x)
-            dsts = np.fromiter((j for j, _ in pairs), dtype=np.int64, count=len(pairs))
-            ws = np.fromiter((rank_of[d.scaled] for _, d in pairs), dtype=dtype, count=len(pairs))
-            self.out[x] = (dsts, ws)
-            for j, _ in pairs:
-                self.preds_of.setdefault(j, []).append(x)
-
-
-def _label_vector(g: FuzzyLabeledGraph, token: str, rank_of: Dict[int, int], dtype) -> np.ndarray:
-    vec = np.zeros(g.n, dtype=dtype)
-    fset = g.labels.get(token)
-    if fset is not None:
-        for v, d in fset.items():
-            vec[v] = rank_of[d.scaled]
-    return vec
-
-
-def _init_matrix(g1: FuzzyLabeledGraph, g2: FuzzyLabeledGraph, rank_of: Dict[int, int], rank_one: int, dtype) -> np.ndarray:
-    z = np.full((g1.n, g2.n), rank_one, dtype=dtype)
-    tokens = g1.vertex_labels
-    for token in tokens:
-        v1 = _label_vector(g1, token, rank_of, dtype)
-        v2 = _label_vector(g2, token, rank_of, dtype)
-        eq = v1[:, None] == v2[None, :]
-        mn = np.minimum(v1[:, None], v2[None, :])
-        np.minimum(z, np.where(eq, dtype(rank_one), mn), out=z)
-    return z
-
-
-def _apply_forward_rows(
-    z: np.ndarray,
-    s: np.ndarray,
-    adj: _Adjacency,
-    rows: Iterable[int],
-    rank_one: int,
-    changed_rows: np.ndarray,
-) -> None:
-    """Tighten z rows by the forward role condition, given the current s table.
-
-    ``s[y, x2]`` is the best transfer degree for moving to y on the left while
-    x2 answers on the right; an edge of rank w out of x1 into y forces
-    z[x1, x2] <= s[y, x2] wherever w exceeds s[y, x2].
-    """
-    for x1 in rows:
-        got = adj.out.get(x1)
-        if got is None:
-            continue
-        dsts, ws = got
-        srows = s[dsts, :]
-        bounds = np.where(srows < ws[:, None], srows, rank_one).min(axis=0)
-        old = z[x1]
-        new = np.minimum(old, bounds)
-        if not np.array_equal(new, old):
-            z[x1] = new
-            changed_rows[x1] = True
-
-
-def _update_s_rows(
-    z: np.ndarray,
-    s: np.ndarray,
-    adj2: _Adjacency,
-    rows: np.ndarray,
-) -> None:
-    """Recompute s[rows, x2] = max over edges (x2 -> y2, w) of min(z[rows, y2], w)."""
-    if rows.size == 0:
-        return
-    zd = z[rows, :]
-    for x2, (dsts, ws) in adj2.out.items():
-        cols = zd[:, dsts]
-        acc = np.minimum(cols, ws[None, :]).max(axis=1)
-        s[rows, x2] = acc
-
-
-def _bisim_matrix_auto(g: FuzzyLabeledGraph, rank_of: Dict[int, int], rank_one: int, dtype) -> Tuple[np.ndarray, int]:
-    """Greatest auto-bisimulation matrix: symmetric fast path with dirty rows.
-
-    The greatest fixpoint is symmetric, so the backward condition on (x, x')
-    equals the forward condition on (x', x); keeping z symmetric after every
-    sweep lets the engine apply only forward bounds.
+    Level d starts from the previous level's cut and splits it by the vertex
+    labels thresholded at d (every value >= d counts alike).  Each round then
+    splits every class by the signature "(edge label, class of y) for every
+    edge x -> y of degree >= d" until a round splits nothing.  An edge of
+    degree e < d needs a matching edge of degree >= e into the same e-class,
+    which the finished level e already guarantees inside every class carried
+    over from it.
     """
     n = g.n
-    z = _init_matrix(g, g, rank_of, rank_one, dtype)
-    adjs = {role: _Adjacency(rel, rank_of, dtype) for role, rel in g.edges.items() if rel.support_size()}
-    s_tables = {role: np.zeros((n, n), dtype=dtype) for role in adjs}
-    dirty = np.ones(n, dtype=bool)
-    sweeps = 0
-    while dirty.any():
-        sweeps += 1
-        dirty_idx = np.flatnonzero(dirty)
-        changed = np.zeros(n, dtype=bool)
-        for role, adj in adjs.items():
-            _update_s_rows(z, s_tables[role], adj, dirty_idx)
-            check = set()
-            for y in dirty_idx:
-                check.update(adj.preds_of.get(int(y), ()))
-            _apply_forward_rows(z, s_tables[role], adj, sorted(check), rank_one, changed)
-        zt = z.T.copy()
-        asym = z > zt
-        if asym.any():
-            np.minimum(z, zt, out=z)
-            changed |= asym.any(axis=1)
-        dirty = changed
-    return z, sweeps
+    scaled = {SCALE}
+    labels: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for t, token in enumerate(g.vertex_labels):
+        for v, d in g.labels[token].items():
+            labels[v].append((t, d.scaled))
+            scaled.add(d.scaled)
+    nroles = len(g.edge_labels)
+    out: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    for r, role in enumerate(g.edge_labels):
+        for (x, y), d in g.edges[role].items():
+            out[x].append((d.scaled, r, y))
+            scaled.add(d.scaled)
+    levels = sorted(scaled)
+
+    block, count = [0] * n, min(n, 1)
+    cuts: List[List[int]] = []
+    rounds = 0
+    for d in levels:
+        block, count = _split(
+            block, [tuple((t, v if v < d else SCALE) for t, v in lab) for lab in labels]
+        )
+        live = [[(r, y) for e, r, y in edges if e >= d] for edges in out]
+        while True:
+            rounds += 1
+            sizes = Counter(block)  # a class of one cannot split
+            sigs = [
+                frozenset([r + nroles * block[y] for r, y in succ]) if sizes[b] > 1 else None
+                for b, succ in zip(block, live)
+            ]
+            before = count
+            block, count = _split(block, sigs)
+            if count == before:
+                break
+        cuts.append(block)
+    return [Degree.from_scaled(d) for d in levels], cuts, rounds
 
 
-def _bisim_matrix_general(
-    g1: FuzzyLabeledGraph,
-    g2: FuzzyLabeledGraph,
-    rank_of: Dict[int, int],
-    rank_one: int,
-    dtype,
-) -> Tuple[np.ndarray, int]:
-    """Greatest bisimulation matrix between two graphs: full sweeps, both directions."""
-    n1, n2 = g1.n, g2.n
-    z = _init_matrix(g1, g2, rank_of, rank_one, dtype)
-    roles = [r for r in g1.edge_labels if g1.edges[r].support_size() or g2.edges[r].support_size()]
-    adj1 = {role: _Adjacency(g1.edges[role], rank_of, dtype) for role in roles}
-    adj2 = {role: _Adjacency(g2.edges[role], rank_of, dtype) for role in roles}
-    all_rows1 = np.arange(n1)
-    all_rows2 = np.arange(n2)
-    sweeps = 0
-    while True:
-        sweeps += 1
-        before = z.copy()
-        for role in roles:
-            s = np.zeros((n1, n2), dtype=dtype)
-            _update_s_rows(z, s, adj2[role], all_rows1)
-            changed = np.zeros(n1, dtype=bool)
-            _apply_forward_rows(z, s, adj1[role], adj1[role].out.keys(), rank_one, changed)
-            # backward direction: same computation on the transposed matrix
-            zt = np.ascontiguousarray(z.T)
-            t = np.zeros((n2, n1), dtype=dtype)
-            _update_s_rows(zt, t, adj1[role], all_rows2)
-            changed2 = np.zeros(n2, dtype=bool)
-            _apply_forward_rows(zt, t, adj2[role], adj2[role].out.keys(), rank_one, changed2)
-            np.minimum(z, zt.T, out=z)
-        if np.array_equal(z, before):
-            break
-    return z, sweeps
+def _disjoint_union(g1: FuzzyLabeledGraph, g2: FuzzyLabeledGraph) -> FuzzyLabeledGraph:
+    """Both graphs side by side, the second one's vertices shifted by g1.n.
 
-
-def _matrix_to_relation(z: np.ndarray, rank_degrees: Sequence[Degree]) -> FuzzyRelation:
-    entries = {}
-    for i, j in zip(*np.nonzero(z)):
-        entries[int(i), int(j)] = rank_degrees[int(z[i, j])]
-    return FuzzyRelation(z.shape[0], z.shape[1], entries)
-
-
-def _auto_bisim_matrix(
-    interp: FuzzyInterpretation, features: Iterable[str] | None
-) -> Tuple[np.ndarray, List[Degree], int]:
-    g = to_fuzzy_graph(interp, features)
-    scaled = _universe([g])
-    rank_of = {s: r for r, s in enumerate(scaled)}
-    dtype = _dtype_for(len(scaled))
-    z, sweeps = _bisim_matrix_auto(g, rank_of, len(scaled) - 1, dtype)
-    return z, [Degree.from_scaled(s) for s in scaled], sweeps
+    A nominal label marks one vertex in each copy, which is why the union is
+    built here and not as an interpretation.
+    """
+    n1, n = g1.n, g1.n + g2.n
+    labels = {
+        token: FuzzySet(n, [*g1.labels[token].items(),
+                            *((n1 + v, d) for v, d in g2.labels[token].items())])
+        for token in g1.vertex_labels
+    }
+    edges = {
+        role: FuzzyRelation(n, n, [*g1.edges[role].items(),
+                                   *(((n1 + x, n1 + y), d) for (x, y), d in g2.edges[role].items())])
+        for role in g1.edge_labels
+    }
+    return FuzzyLabeledGraph(n, g1.vertex_labels, g1.edge_labels, labels, edges)
 
 
 def auto_partition(
     interp: FuzzyInterpretation, features: Iterable[str] | None
 ) -> Tuple[CompactFuzzyPartition, int]:
-    """Compact fuzzy partition of the greatest fuzzy auto-bisimulation."""
-    z, rank_degrees, sweeps = _auto_bisim_matrix(interp, features)
-    return build_partition_from_matrix(z, rank_degrees, interp.domain), sweeps
+    """Compact fuzzy partition of the greatest fuzzy auto-bisimulation, and
+    the number of signature rounds it took."""
+    levels, cuts, rounds = _refine(to_fuzzy_graph(interp, features))
+    return partition_from_cuts(levels, cuts, interp.domain), rounds
+
+
+def _union_partition(
+    interp1: FuzzyInterpretation,
+    interp2: FuzzyInterpretation,
+    features: Iterable[str] | None,
+) -> Tuple[CompactFuzzyPartition, int]:
+    """Auto-bisimulation partition of the disjoint union; interp2's element
+    y is vertex interp1.n + y."""
+    if not interp1.signature.same_names(interp2.signature):
+        raise ValueError("interpretations use different signatures")
+    fs = normalize_features(features)
+    g = _disjoint_union(to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs))
+    levels, cuts, rounds = _refine(g)
+    return partition_from_cuts(levels, cuts, interp1.domain + interp2.domain), rounds
 
 
 def greatest_bisimulation(
@@ -287,21 +207,15 @@ def greatest_bisimulation(
     interp2: FuzzyInterpretation,
     features: Iterable[str] | None = None,
 ) -> BisimResult:
-    """Greatest fuzzy bisimulation between two interpretations over one signature."""
-    if not interp1.signature.same_names(interp2.signature):
-        raise ValueError("interpretations use different signatures")
-    fs = normalize_features(features)
+    """Greatest fuzzy bisimulation between two interpretations over one
+    signature: the auto-bisimulation of their disjoint union, restricted to
+    the first domain times the second."""
     if interp1 is interp2:
-        z, rank_degrees, sweeps = _auto_bisim_matrix(interp1, fs)
-        return BisimResult(_matrix_to_relation(z, rank_degrees), sweeps)
-    g1 = to_fuzzy_graph(interp1, fs)
-    g2 = to_fuzzy_graph(interp2, fs)
-    scaled = _universe([g1, g2])
-    rank_of = {s: r for r, s in enumerate(scaled)}
-    dtype = _dtype_for(len(scaled))
-    z, sweeps = _bisim_matrix_general(g1, g2, rank_of, len(scaled) - 1, dtype)
-    rank_degrees = [Degree.from_scaled(s) for s in scaled]
-    return BisimResult(_matrix_to_relation(z, rank_degrees), sweeps)
+        partition, rounds = auto_partition(interp1, features)
+        return BisimResult(partition.to_equivalence(), rounds)
+    partition, rounds = _union_partition(interp1, interp2, features)
+    n1 = interp1.n
+    return BisimResult(partition.relation(range(n1), range(n1, partition.n)), rounds)
 
 
 def greatest_auto_bisimulation(
@@ -316,13 +230,12 @@ def bisimilarity_degree(
     features: Iterable[str] | None = None,
 ) -> Degree:
     """min over individuals a of Z(a in the first, a in the second) for the greatest Z."""
-    result = greatest_bisimulation(interp1, interp2, features)
-    best = ONE
-    for a in interp1.signature.individual_names:
-        d = result.Z.value(interp1.individual_element(a), interp2.individual_element(a))
-        if d < best:
-            best = d
-    return best
+    partition, _ = _union_partition(interp1, interp2, features)
+    n1 = interp1.n
+    return min(
+        partition.degree(interp1.individual_element(a), n1 + interp2.individual_element(a))
+        for a in interp1.signature.individual_names
+    )
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import Degree
-from .bisim import auto_partition, bisimilarity_degree, greatest_bisimulation
+from .bisim import auto_partition, greatest_bisimulation
 from .concepts import eval_concept, parse_concept, ConceptParseError
 from .genbench import GeneratorParams, format_csv, format_table, generate, run_bench
 from .minimize import MinimizeParams, approximate_minimize
@@ -301,7 +301,10 @@ def _cmd_bisim(args) -> int:
     out = []
     for (x, y), deg in result.Z.items():
         out.append(f"{interp.element_name(x)} {other.element_name(y)} {deg}")
-    degree = bisimilarity_degree(interp, other, features)
+    degree = min(
+        result.Z.value(interp.individual_element(a), other.individual_element(a))
+        for a in signature.individual_names
+    )
     out.append(f"bisimilarity {degree}")
     sys.stdout.write("\n".join(out) + "\n")
     return 0

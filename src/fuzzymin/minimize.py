@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import Degree, FuzzyRelation, FuzzySet, ONE, ZERO, tnorm
-from .bisim import _auto_bisim_matrix, auto_partition
+from .core import Degree, FuzzyRelation, FuzzySet, ONE, tnorm
+from .bisim import auto_partition
 from .model import (
     BasicRole,
     FuzzyInterpretation,
@@ -41,16 +41,6 @@ class MinimizeParams:
         object.__setattr__(self, "gamma", gamma)
         if gamma.is_zero:
             raise ValueError("gamma must lie in (0, 1]")
-
-
-class RoleTriple(NamedTuple):
-    """A pending link out of a kept element; priority is its degree in the input."""
-
-    x: int
-    role: BasicRole
-    y: int
-    priority: Degree
-    seq: int
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,7 @@ class MinimizeResult:
     dropped: int
     source_n: int
     partition: CompactFuzzyPartition
-    bisim_sweeps: int
+    bisim_rounds: int  # signature rounds of the auto-bisimulation, 0 when a partition was passed in
 
 
 def compute_D(interp: FuzzyInterpretation, gamma: Degree) -> List[Degree]:
@@ -127,17 +117,17 @@ def approximate_minimize(
     gamma = params.gamma
     say = narrate if narrate is not None else (lambda line: None)
 
-    sweeps = 0
+    rounds = 0
     if partition is None:
-        partition, sweeps = auto_partition(interp, fs)
-    partition.clear_reprs()
+        partition, rounds = auto_partition(interp, fs)
+    partition.reset_overlay()
 
     def locate(x: int, d: Degree):
         if use_flattening:
             return partition.flatten_and_find(x, d)
         return partition.find_block(x, d)
 
-    def check_block(block, x: int) -> None:
+    def check_block(block) -> None:
         if not debug_checks:
             return
         if block.repr is not None:
@@ -193,7 +183,7 @@ def approximate_minimize(
         else:
             new_individuals[a] = block.repr
             say(f"seed {a} -> {interp.element_name(block.repr)} (alias)")
-        check_block(block, ax)
+        check_block(block)
 
     for x in added_order:
         push_out_edges(x)
@@ -225,7 +215,7 @@ def approximate_minimize(
                 partition.set_repr_upward(block, y)
                 push_out_edges(y)
                 say(f"  add {interp.element_name(y)}; block degree {block.degree} keeper := {interp.element_name(y)}")
-            check_block(block, y)
+            check_block(block)
             set_role_entry(role, x, block.repr, d)
 
     # assemble the reduced interpretation, keeping original names and order
@@ -273,7 +263,7 @@ def approximate_minimize(
         dropped=n - n1,
         source_n=n,
         partition=partition,
-        bisim_sweeps=sweeps,
+        bisim_rounds=rounds,
     )
 
 
@@ -286,9 +276,9 @@ def construct_witness(
 
     For each kept element y added at level d_y (gamma for individual-seeded
     ones), Z(v, y) = min(d_y, Z0(v, y)) over all input elements v, where Z0
-    is the greatest fuzzy auto-bisimulation of the input.  The result checks
-    clean against the bisimulation conditions and hits exactly gamma at every
-    named-individual pair.
+    is the greatest fuzzy auto-bisimulation of the input, read off the
+    result's partition.  The result checks clean against the bisimulation
+    conditions and hits exactly gamma at every named-individual pair.
     """
     if params != result.params:
         raise ValueError("parameters do not match the ones the result was produced with")
@@ -300,16 +290,20 @@ def construct_witness(
                 f"reduction element {name!r} does not come from this interpretation"
             ) from None
 
-    z0, rank_degrees, _ = _auto_bisim_matrix(interp, params.features)
+    partition = result.partition
+    order = partition.order
     level_of = {entry.element: entry.degree for entry in result.trace.added}
     entries: Dict[Tuple[int, int], Degree] = {}
     for new_idx, name in enumerate(result.reduced.domain):
-        orig = interp.element_index(name)
         dy = level_of[name]
-        column = z0[:, orig]
-        for v in range(interp.n):
-            d = rank_degrees[int(column[v])]
-            d = tnorm(dy, d)
-            if not d.is_zero:
+        # Z0(v, y) is the degree of the deepest block holding both, so walking
+        # up from y's leaf meets every v with Z0(v, y) > 0 exactly once; [lo, hi)
+        # is the span already visited
+        block = partition.leaf_of[interp.element_index(name)]
+        lo = hi = block.lo
+        while block is not None and not block.degree.is_zero:
+            d = tnorm(dy, block.degree)
+            for v in order[block.lo:lo] + order[hi:block.hi]:
                 entries[v, new_idx] = d
+            lo, hi, block = block.lo, block.hi, block.parent
     return FuzzyRelation(interp.n, result.reduced.n, entries)

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .core import (
     Degree,
     FuzzyRelation,
@@ -24,7 +22,8 @@ class Block:
     blocks have degree < 1 and at least two subblocks.  Elements are kept as
     a contiguous span over the partition's element ordering, so membership
     and enumeration stay cheap.  `repr` is the retained representative
-    element, set by the minimizer.
+    element; it, `absorbed` and `fully_flat` belong to the minimizer's
+    per-run overlay.
     """
 
     __slots__ = ("id", "degree", "parent", "children", "lo", "hi", "repr", "absorbed", "fully_flat")
@@ -54,8 +53,8 @@ class CompactFuzzyPartition:
 
     The tree itself is never mutated after construction; flattening only
     merges blocks into classes in the union-find overlay, so read-only
-    consumers (rendering, equivalence reconstruction) always see the
-    original structure.
+    consumers (rendering, equivalence reconstruction, pair degrees) always
+    see the original structure.  ``reset_overlay`` starts a fresh run.
     """
 
     def __init__(self, root: Block, blocks: List[Block], order: List[int], names: Sequence[str]):
@@ -72,9 +71,7 @@ class CompactFuzzyPartition:
             if b.is_crisp:
                 for p in range(b.lo, b.hi):
                     self.leaf_of[order[p]] = b
-        self._uf_parent = list(range(len(blocks)))
-        self._uf_size = [1] * len(blocks)
-        self._top: Dict[int, Block] = {b.id: b for b in blocks}
+        self.reset_overlay()
 
     @property
     def n(self) -> int:
@@ -164,9 +161,15 @@ class CompactFuzzyPartition:
             cur.repr = element
             cur = self.class_top(cur.parent) if cur.parent is not None else None
 
-    def clear_reprs(self) -> None:
+    def reset_overlay(self) -> None:
+        """Undo every flattening merge and representative of an earlier run."""
+        self._uf_parent = list(range(len(self._blocks)))
+        self._uf_size = [1] * len(self._blocks)
+        self._top = list(self._blocks)
         for b in self._blocks:
             b.repr = None
+            b.absorbed = False
+            b.fully_flat = False
 
     # read-only views ----------------------------------------------------
 
@@ -188,76 +191,85 @@ class CompactFuzzyPartition:
 
         return go(self.root)
 
+    def degree(self, x: int, y: int) -> Degree:
+        """Degree of the deepest block holding both x and y (1 inside one leaf)."""
+        block = self.leaf_of[x]
+        while not self.contains(block, y):
+            block = block.parent
+        return block.degree
+
     def to_equivalence(self) -> FuzzyRelation:
         """Reconstruct the fuzzy equivalence: pairs get their least-common-ancestor degree."""
+        return self.relation(range(self.n), range(self.n))
+
+    def relation(self, rows: range, cols: range) -> FuzzyRelation:
+        """The fuzzy equivalence restricted to rows x cols, each side counted from 0."""
         entries: Dict[Tuple[int, int], Degree] = {}
+
+        def side(block: Block, keep: range) -> List[int]:
+            return [x - keep.start for x in self.block_elements(block) if x in keep]
+
         for block in self._blocks:
             if block.is_crisp:
-                elems = self.block_elements(block)
-                for a in elems:
-                    for b in elems:
+                for a in side(block, rows):
+                    for b in side(block, cols):
                         entries[a, b] = ONE
             elif not block.degree.is_zero:
-                kids = block.children
-                for i in range(len(kids)):
-                    ei = self.block_elements(kids[i])
-                    for j in range(i + 1, len(kids)):
-                        for a in ei:
-                            for b in self.block_elements(kids[j]):
-                                entries[a, b] = block.degree
-                                entries[b, a] = block.degree
-        return FuzzyRelation(self.n, self.n, entries)
+                kids = [(side(c, rows), side(c, cols)) for c in block.children]
+                for i, (left, _) in enumerate(kids):
+                    for j, (_, right) in enumerate(kids):
+                        if i != j:
+                            for a in left:
+                                for b in right:
+                                    entries[a, b] = block.degree
+        return FuzzyRelation(len(rows), len(cols), entries)
 
     def __repr__(self) -> str:
         return f"CompactFuzzyPartition(n={self.n}, blocks={len(self._blocks)})"
 
 
-def build_partition_from_matrix(
-    matrix: np.ndarray,
-    rank_degrees: Sequence[Degree],
+def partition_from_cuts(
+    levels: Sequence[Degree],
+    cuts: Sequence[Sequence[int]],
     names: Sequence[str],
 ) -> CompactFuzzyPartition:
-    """Build the block tree from a dense rank matrix of a fuzzy equivalence.
+    """Build the block tree from the d-cuts of a fuzzy equivalence.
 
-    ``matrix[i, j]`` is an index into ``rank_degrees``; the last rank must be
-    degree 1.  Recursive splitting: take the minimal pair degree d, split by
-    the crisp relation "degree > d", recurse into each class.
+    ``levels`` ascend and end with 1; ``cuts[i][x]`` is the class of x in the
+    crisp partition at ``levels[i]``, and each cut refines the one before.  A
+    block's degree is the last level at which it is still one class (0 when
+    the first cut already splits it), and a child's degree exceeds its
+    parent's, so the tree is no deeper than the number of levels.  Children
+    are ordered by their least element and leaves list their elements in
+    ascending order.
     """
-    n = matrix.shape[0]
-    one_rank = len(rank_degrees) - 1
     blocks: List[Block] = []
     order: List[int] = []
+    top = len(levels)
 
-    def new_block(degree: Degree, parent: Optional[Block]) -> Block:
+    def build(elems: List[int], level: int, parent: Optional[Block]) -> Block:
+        # elems ascend and are one class in every cut below ``level``
+        while level < top:
+            cut = cuts[level]
+            first = cut[elems[0]]
+            if any(cut[x] != first for x in elems):
+                break
+            level += 1
+        degree = ONE if level == top else levels[level - 1] if level else ZERO
         b = Block(len(blocks), degree, parent)
         blocks.append(b)
-        return b
-
-    def build(idx: np.ndarray, parent: Optional[Block]) -> Block:
-        sub = matrix[np.ix_(idx, idx)]
-        d = int(sub.min())
-        if d == one_rank:
-            b = new_block(ONE, parent)
-            b.lo = len(order)
-            order.extend(int(x) for x in np.sort(idx))
-            b.hi = len(order)
-            return b
-        b = new_block(rank_degrees[d], parent)
         b.lo = len(order)
-        over = sub > d
-        # rows of an equivalence are identical exactly on one class
-        _, inverse = np.unique(over, axis=0, return_inverse=True)
-        groups: Dict[int, List[int]] = {}
-        for local, g in enumerate(inverse):
-            groups.setdefault(int(g), []).append(local)
-        ordered = sorted(groups.values(), key=lambda locs: int(idx[locs].min()))
-        for locs in ordered:
-            child = build(idx[locs], b)
-            b.children.append(child)
+        if level == top:
+            order.extend(elems)
+        else:
+            groups: Dict[int, List[int]] = {}
+            for x in elems:
+                groups.setdefault(cut[x], []).append(x)
+            b.children = [build(group, level + 1, b) for group in groups.values()]
         b.hi = len(order)
         return b
 
-    root = build(np.arange(n), None)
+    root = build(list(range(len(names))), 0, None)
     return CompactFuzzyPartition(root, blocks, order, names)
 
 
@@ -273,13 +285,20 @@ def build_compact_partition(
     n = phi.rows
     if names is None:
         names = [str(i) for i in range(n)]
-    scaled = sorted({0, SCALE} | {d.scaled for d in phi._entries.values()})
-    rank_of = {s: r for r, s in enumerate(scaled)}
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for (i, j), d in phi._entries.items():
-        matrix[i, j] = rank_of[d.scaled]
-    rank_degrees = [Degree.from_scaled(s) for s in scaled]
-    return build_partition_from_matrix(matrix, rank_degrees, names)
+    levels = sorted({SCALE} | {d.scaled for d in phi._entries.values()})
+    index = {s: i for i, s in enumerate(levels)}
+    # the d-cut class of x is named by its least member: min{y : phi(x, y) >= d}
+    cuts = [[0] * n for _ in levels]
+    for x in range(n):
+        least = [n] * len(levels)
+        for y, d in phi.successors(x):
+            i = index[d.scaled]
+            least[i] = min(least[i], y)
+        member = n
+        for i in range(len(levels) - 1, -1, -1):
+            member = min(member, least[i])
+            cuts[i][x] = member
+    return partition_from_cuts([Degree.from_scaled(s) for s in levels], cuts, names)
 
 
 def partition_to_equivalence(partition: CompactFuzzyPartition) -> FuzzyRelation:

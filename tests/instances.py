@@ -61,6 +61,18 @@ def two_chains() -> FuzzyInterpretation:
     )
 
 
+def alternating_chain(n: int) -> FuzzyInterpretation:
+    """c0 -> c1 -> ... -> c(n-1) with edge degrees alternating 0.4 and 0.7;
+    only the tail carries a label, and it reaches the head one edge per
+    refinement round."""
+    sig = Signature(("A",), ("r",), ("a",))
+    domain = [f"c{i}" for i in range(n)]
+    return make_interpretation(
+        sig, domain, {"a": "c0"}, {"A": {domain[-1]: 1}},
+        {"r": {(domain[i], domain[i + 1]): "0.4" if i % 2 else "0.7" for i in range(n - 1)}},
+    )
+
+
 def research_network() -> FuzzyInterpretation:
     """Researchers linked to topics; the topic-relatedness role is the
     reflexive-symmetric-transitive closure of a small seed relation."""

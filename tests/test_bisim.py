@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from fuzzymin import (
     BasicRole,
@@ -20,7 +21,8 @@ from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, ZERO, biresiduum
 from fuzzymin.concepts import _eval_concept_arr, interpretation_degree_pool, random_concept
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
-from instances import layered_cycles, twin_stars, two_chains
+from instances import alternating_chain, layered_cycles, twin_stars, two_chains
+from strategies import feature_sets, interpretation_pairs, interpretations
 
 D = Degree
 
@@ -215,6 +217,52 @@ class TestEngineAgreement:
                     )
                     bumped_any = True
         assert bumped_any
+
+
+class TestSignatureRefinement:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(interpretations(), feature_sets)
+    def test_auto_bisimulation_matches_reference(self, interp, features):
+        reference = greatest_bisimulation_reference(interp, interp, features)
+        partition, _ = auto_partition(interp, features)
+        assert partition.to_equivalence() == reference
+        assert greatest_auto_bisimulation(interp, features).Z == reference
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(interpretation_pairs())
+    def test_disjoint_union_pair_relation_matches_reference(self, case):
+        first, second, features = case
+        reference = greatest_bisimulation_reference(first, second, features)
+        assert greatest_bisimulation(first, second, features).Z == reference
+        assert bisimilarity_degree(first, second, features) == min(
+            reference.value(first.individual_element(a), second.individual_element(a))
+            for a in first.signature.individual_names
+        )
+
+    def test_tree_equals_tree_of_its_equivalence(self):
+        # the sparse-relation builder rebuilds the engine's tree block for block
+        for seed in range(40):
+            features = [frozenset(), frozenset("I"), frozenset("O"), frozenset("IO")][seed % 4]
+            interp = small_random_instance(seed, features=features)
+            partition, _ = auto_partition(interp, features)
+            again = build_compact_partition(partition.to_equivalence(), interp.domain)
+            assert again.render() == partition.render()
+            assert again.order == partition.order
+            assert [(b.id, b.degree, b.lo, b.hi) for b in again.blocks()] == [
+                (b.id, b.degree, b.lo, b.hi) for b in partition.blocks()]
+
+    def test_alternating_chain_rounds(self):
+        n = 60
+        interp = alternating_chain(n)
+        partition, rounds = auto_partition(interp, frozenset())
+        leaves = [b for b in partition.blocks() if b.is_crisp]
+        assert len(leaves) == n
+        assert all(len(partition.block_elements(b)) == 1 for b in leaves)
+        # levels 0.4, 0.7 and 1: at 0.4 the tail's label reaches one more
+        # element per round (n - 2 splitting rounds, then one that splits
+        # nothing); each higher level adds one round that splits nothing
+        assert rounds == n + 1
+        assert greatest_auto_bisimulation(interp, frozenset()).iterations == rounds
 
 
 class TestTheoremSampling:

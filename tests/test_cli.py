@@ -157,6 +157,25 @@ class TestCommands:
         assert lines[-1] == "bisimilarity 1"
         assert "v2 v2' 1" in lines
 
+    def test_bisim_output_is_byte_stable(self, tmp_path, capsys):
+        # the pair relation and the bisimilarity line, byte for byte as the
+        # rank-matrix engine printed them
+        chains = tmp_path / "chains.txt"
+        chains.write_text(write_interpretation(two_chains()))
+        reduced = tmp_path / "reduced.txt"
+        reduced.write_text(
+            "concepts A\nroles r\nindividuals a b\ndomain u1 v1 w1\nind a u1\nind b u1\n"
+            "concept A w1 1\nrole r u1 v1 0.8\nrole r v1 w1 0.8\n")
+        status, out, _ = run_cli(capsys, ["bisim", "--in", str(chains), "--other", str(reduced)])
+        assert status == 0
+        assert out == (
+            "u1 u1 0.8\nu2 u1 0.8\nv1 v1 0.8\nv2 v1 0.8\nw1 w1 1\nw2 w1 0.8\n"
+            "bisimilarity 0.8\n")
+        status, out, _ = run_cli(
+            capsys, ["bisim", "--in", str(reduced), "--other", str(chains), "--with-o"])
+        assert status == 0
+        assert out == "v1 v1 0.8\nv1 v2 0.8\nw1 w1 1\nw1 w2 0.8\nbisimilarity 0\n"
+
     def test_gen_and_bench_commands(self, tmp_path, capsys):
         genfile = tmp_path / "gen.txt"
         status, out, err = run_cli(

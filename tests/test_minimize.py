@@ -4,14 +4,16 @@ import pytest
 
 from fuzzymin import (
     Signature,
+    auto_partition,
     check_bisimulation,
     construct_witness,
     greatest_auto_bisimulation,
+    greatest_bisimulation_reference,
     make_interpretation,
     size_stats,
     validate,
 )
-from fuzzymin.core import Degree, ONE, ZERO
+from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, tnorm
 from fuzzymin.concepts import preservation_report
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize, compute_D
@@ -367,3 +369,39 @@ class TestProperties:
         ]:
             approximate_minimize(
                 interp, MinimizeParams(features, gamma), debug_checks=True)
+
+
+class TestPartitionReuse:
+    def test_second_run_on_a_partition_equals_a_fresh_run(self):
+        # a run at 0.3 flattens most of the tree; the run at 1 after it must
+        # not inherit those merges
+        for interp, features, _ in random_cases(40, seed_base=1300):
+            partition, _ = auto_partition(interp, features)
+            approximate_minimize(interp, MinimizeParams(features, D("0.3")), partition=partition)
+            params = MinimizeParams(features, ONE)
+            again = approximate_minimize(interp, params, partition=partition)
+            fresh = approximate_minimize(interp, params)
+            assert facts(again.reduced) == facts(fresh.reduced)
+            assert again.trace.added == fresh.trace.added
+            witness = construct_witness(interp, again, params)
+            assert check_bisimulation(witness, interp, again.reduced, features) == []
+
+
+class TestWitnessFromTree:
+    def test_matches_formula_on_reference_relation(self):
+        # Z(v, y) = min(d_y, Z0(v, y)) with Z0 from the reference engine
+        for interp, features, gamma in random_cases(40, seed_base=1500):
+            params = MinimizeParams(features, gamma)
+            result = approximate_minimize(interp, params)
+            z0 = greatest_bisimulation_reference(interp, interp, features)
+            level_of = {e.element: e.degree for e in result.trace.added}
+            expected = {}
+            for y, name in enumerate(result.reduced.domain):
+                orig = interp.element_index(name)
+                for v in range(interp.n):
+                    d = tnorm(level_of[name], z0.value(v, orig))
+                    if not d.is_zero:
+                        expected[v, y] = d
+            witness = construct_witness(interp, result, params)
+            assert witness == FuzzyRelation(interp.n, result.reduced.n, expected)
+            assert check_bisimulation(witness, interp, result.reduced, features) == []

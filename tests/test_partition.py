@@ -197,6 +197,23 @@ class TestFlattening:
         assert later.repr == idx["v3"]
 
 
+class TestResetOverlay:
+    def test_reset_restores_a_fresh_overlay(self):
+        Z, names = twin_equivalence()
+        partition = build_compact_partition(Z, names)
+        idx = {name: i for i, name in enumerate(names)}
+        block = flatten_and_find(partition, idx["v3"], D("0.7"))
+        set_repr_upward(partition, block, idx["v3"])
+        flatten_and_find(partition, idx["u"], D("0.4"))
+        partition.reset_overlay()
+        for b in partition.blocks():
+            assert partition.class_top(b) is b
+            assert (b.repr, b.absorbed, b.fully_flat) == (None, False, False)
+        fresh = build_compact_partition(Z, names)
+        for x in range(len(names)):
+            assert find_block(partition, x, D("0.7")).id == find_block(fresh, x, D("0.7")).id
+
+
 class TestReprPropagation:
     def test_sets_repr_up_to_first_claimed_ancestor(self):
         Z, names = twin_equivalence()
