@@ -6,17 +6,19 @@ basic roles).  Under the Godel semantics the d-cuts of the greatest fuzzy
 auto-bisimulation are nested crisp equivalences, one per degree level, so
 the engine computes them level by level in ascending order, refining each
 level's partition by signatures (Blom & Orzan 2005) in the spirit of Nguyen
-& Tran (IEEE TFS 2021).  That chain of partitions is the compact fuzzy
-partition; no n x n matrix is built.  The greatest bisimulation between two
-interpretations is the auto-bisimulation of their disjoint union, restricted
-to the pairs across the two.
+& Tran (IEEE TFS 2021).  A round re-signs only the predecessors of the
+vertices that changed class, and a split class keeps its id for the members
+that were not re-signed, after Paige & Tarjan (SIAM J. Comput. 1987).  That
+chain of partitions is the compact fuzzy partition; no n x n matrix is
+built.  The greatest bisimulation between two interpretations is the
+auto-bisimulation of their disjoint union, restricted to the pairs across
+the two.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     Degree,
@@ -95,17 +97,76 @@ class BisimResult:
 # level-wise signature refinement
 # --------------------------------------------------------------------------
 
-
-def _split(block: List[int], keys: Sequence) -> Tuple[List[int], int]:
-    """Refine the classes in ``block`` by ``keys``, numbering the new classes
-    by their least vertex; returns the new classes and their count."""
-    ids: Dict[Tuple[int, object], int] = {}
-    out = [ids.setdefault((b, k), len(ids)) for b, k in zip(block, keys)]
-    return out, len(ids)
+Labels = List[List[Tuple[int, int]]]      # vertex -> [(token, scaled degree)]
+Edges = List[List[Tuple[int, int, int]]]  # vertex -> [(scaled degree, role, target)]
 
 
-def _refine(g: FuzzyLabeledGraph) -> Tuple[List[Degree], List[List[int]], int]:
-    """The d-cuts of the greatest fuzzy auto-bisimulation of a graph.
+def _flatten(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[Labels, Edges, int]:
+    """Per-vertex label and edge lists of the graphs side by side, each one's
+    vertices shifted by the sizes of those before it, plus the number of
+    roles.  Tokens and roles are numbered in the first graph's order.
+
+    A nominal label marks one vertex in each copy, which is why a union is
+    built here and not as an interpretation.
+    """
+    tokens, roles = graphs[0].vertex_labels, graphs[0].edge_labels
+    labels: Labels = []
+    out: Edges = []
+    for g in graphs:
+        shift = len(labels)
+        labels.extend([] for _ in range(g.n))
+        out.extend([] for _ in range(g.n))
+        for t, token in enumerate(tokens):
+            for v, d in g.labels[token].items():
+                labels[shift + v].append((t, d.scaled))
+        for r, role in enumerate(roles):
+            for (x, y), d in g.edges[role].items():
+                out[shift + x].append((d.scaled, r, shift + y))
+    return labels, out, len(roles)
+
+
+def _split(
+    block: List[int],
+    size: List[int],
+    shared: List[Optional[frozenset]],
+    keys: Dict[int, Hashable],
+    signed: bool,
+) -> List[int]:
+    """Split classes by ``keys``, given for some of their members; returns
+    the vertices that changed class.
+
+    Members without a key hold one key together: the class's ``shared``
+    signature when ``signed``, otherwise a key that no keyed member holds.
+    That group keeps the class id; when every member has a key, the largest
+    group keeps it.  The other groups get fresh ids.  A new class's shared
+    signature is its key when ``signed`` and its parent's otherwise.
+    """
+    groups: Dict[int, Dict[Hashable, List[int]]] = {}
+    for v, key in keys.items():
+        groups.setdefault(block[v], {}).setdefault(key, []).append(v)
+    moved: List[int] = []
+    for c, by_key in groups.items():
+        if sum(map(len, by_key.values())) == size[c]:
+            keep = max(by_key, key=lambda k: len(by_key[k]))
+            if signed:
+                shared[c] = keep
+        else:
+            keep = shared[c] if signed else None
+        by_key.pop(keep, None)
+        for key, vs in by_key.items():
+            new = len(size)
+            size.append(len(vs))
+            size[c] -= len(vs)
+            shared.append(key if signed else shared[c])
+            for v in vs:
+                block[v] = new
+            moved.extend(vs)
+    return moved
+
+
+def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[List[Degree], List[List[int]], int]:
+    """The d-cuts of the greatest fuzzy auto-bisimulation of a graph given as
+    per-vertex label and edge lists (see ``_flatten``).
 
     Returns the degree levels in ascending order (the last one is 1), the
     class of every vertex in each level's cut, and the signature rounds
@@ -119,63 +180,64 @@ def _refine(g: FuzzyLabeledGraph) -> Tuple[List[Degree], List[List[int]], int]:
     degree e < d needs a matching edge of degree >= e into the same e-class,
     which the finished level e already guarantees inside every class carried
     over from it.
-    """
-    n = g.n
-    scaled = {SCALE}
-    labels: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for t, token in enumerate(g.vertex_labels):
-        for v, d in g.labels[token].items():
-            labels[v].append((t, d.scaled))
-            scaled.add(d.scaled)
-    nroles = len(g.edge_labels)
-    out: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
-    for r, role in enumerate(g.edge_labels):
-        for (x, y), d in g.edges[role].items():
-            out[x].append((d.scaled, r, y))
-            scaled.add(d.scaled)
-    levels = sorted(scaled)
 
-    block, count = [0] * n, min(n, 1)
+    Rounds are Jacobi rounds, but a round re-signs only the vertices whose
+    signature can have changed: the live predecessors of the vertices that
+    changed class since their last signature, and, at a level's start, the
+    sources of the edges that stopped being live.  Every other member of a
+    class still holds the class's shared signature.  Class ids are stable
+    (see ``_split``), so a level costs O(n) for its cut plus time in
+    proportion to the vertices that change class and the edges around them,
+    not O(n + m) per round.
+    """
+    n = len(labels)
+    labels_at: Dict[int, List[Tuple[int, int]]] = {}  # degree -> [(vertex, token)]
+    for v, lab in enumerate(labels):
+        for t, d in lab:
+            labels_at.setdefault(d, []).append((v, t))
+    pred: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # y -> [(degree, x)]
+    sources_at: Dict[int, List[int]] = {}  # degree -> sources of its edges
+    for x, edges in enumerate(out):
+        for d, _, y in edges:
+            pred[y].append((d, x))
+            sources_at.setdefault(d, []).append(x)
+    levels = sorted({SCALE, *labels_at, *sources_at})
+
+    # every label is >= the least level, so the first cut starts from the
+    # classes of vertices that carry the same label tokens
+    first: Dict[Tuple[int, ...], int] = {}
+    block = [first.setdefault(tuple(t for t, _ in lab), len(first)) for lab in labels]
+    size = [0] * len(first)
+    for c in block:
+        size[c] += 1
+    shared: List[Optional[frozenset]] = [None] * len(first)
+    dirty = set(range(n))
     cuts: List[List[int]] = []
     rounds = 0
+    prev = None
     for d in levels:
-        block, count = _split(
-            block, [tuple((t, v if v < d else SCALE) for t, v in lab) for lab in labels]
-        )
-        live = [[(r, y) for e, r, y in edges if e >= d] for edges in out]
+        if prev is not None:
+            # a label equal to the previous level no longer counts as >= d
+            dropped: Dict[int, Tuple[int, ...]] = {}
+            for v, t in labels_at.get(prev, ()):
+                dropped[v] = dropped.get(v, ()) + (t,)
+            moved = _split(block, size, shared, dropped, False)
+            dirty = set(sources_at.get(prev, ()))
+            dirty.update(x for y in moved for e, x in pred[y] if e >= d)
         while True:
             rounds += 1
-            sizes = Counter(block)  # a class of one cannot split
-            sigs = [
-                frozenset([r + nroles * block[y] for r, y in succ]) if sizes[b] > 1 else None
-                for b, succ in zip(block, live)
-            ]
-            before = count
-            block, count = _split(block, sigs)
-            if count == before:
+            sigs = {
+                v: frozenset([r + nroles * block[y] for e, r, y in out[v] if e >= d])
+                for v in dirty
+                if size[block[v]] > 1  # a class of one cannot split
+            }
+            moved = _split(block, size, shared, sigs, True)
+            if not moved:
                 break
-        cuts.append(block)
+            dirty = {x for y in moved for e, x in pred[y] if e >= d}
+        cuts.append(block[:])
+        prev = d
     return [Degree.from_scaled(d) for d in levels], cuts, rounds
-
-
-def _disjoint_union(g1: FuzzyLabeledGraph, g2: FuzzyLabeledGraph) -> FuzzyLabeledGraph:
-    """Both graphs side by side, the second one's vertices shifted by g1.n.
-
-    A nominal label marks one vertex in each copy, which is why the union is
-    built here and not as an interpretation.
-    """
-    n1, n = g1.n, g1.n + g2.n
-    labels = {
-        token: FuzzySet(n, [*g1.labels[token].items(),
-                            *((n1 + v, d) for v, d in g2.labels[token].items())])
-        for token in g1.vertex_labels
-    }
-    edges = {
-        role: FuzzyRelation(n, n, [*g1.edges[role].items(),
-                                   *(((n1 + x, n1 + y), d) for (x, y), d in g2.edges[role].items())])
-        for role in g1.edge_labels
-    }
-    return FuzzyLabeledGraph(n, g1.vertex_labels, g1.edge_labels, labels, edges)
 
 
 def auto_partition(
@@ -183,7 +245,7 @@ def auto_partition(
 ) -> Tuple[CompactFuzzyPartition, int]:
     """Compact fuzzy partition of the greatest fuzzy auto-bisimulation, and
     the number of signature rounds it took."""
-    levels, cuts, rounds = _refine(to_fuzzy_graph(interp, features))
+    levels, cuts, rounds = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
     return partition_from_cuts(levels, cuts, interp.domain), rounds
 
 
@@ -197,8 +259,8 @@ def _union_partition(
     if not interp1.signature.same_names(interp2.signature):
         raise ValueError("interpretations use different signatures")
     fs = normalize_features(features)
-    g = _disjoint_union(to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs))
-    levels, cuts, rounds = _refine(g)
+    graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
+    levels, cuts, rounds = _refine(*_flatten(graphs))
     return partition_from_cuts(levels, cuts, interp1.domain + interp2.domain), rounds
 
 
@@ -271,13 +333,17 @@ def check_bisimulation(
     if (Z.rows, Z.cols) != (interp1.n, interp2.n):
         raise ValueError("relation shape does not match the interpretation domains")
     sig = interp1.signature
-    roles = basic_roles(sig, fs)
+    concepts = [(c, interp1.concept_set(c), interp2.concept_set(c)) for c in sig.concept_names]
+    roles = [
+        (role, interp1.basic_role_relation(role), interp2.basic_role_relation(role))
+        for role in basic_roles(sig, fs)
+    ]
     out: List[BisimViolation] = []
     for (x, xp), zval in Z.items():
         name_x = interp1.element_name(x)
         name_xp = interp2.element_name(xp)
-        for cname in sig.concept_names:
-            bound = biresiduum(interp1.concept_set(cname).value(x), interp2.concept_set(cname).value(xp))
+        for cname, set1, set2 in concepts:
+            bound = biresiduum(set1.value(x), set2.value(xp))
             if zval > bound:
                 out.append(
                     BisimViolation(
@@ -285,18 +351,20 @@ def check_bisimulation(
                         f"Z={zval} exceeds label bound {bound} for concept {cname}",
                     )
                 )
-        for role in roles:
-            rel1 = interp1.basic_role_relation(role)
-            rel2 = interp2.basic_role_relation(role)
-            for y, dxy in rel1.successors(x):
+        for role, rel1, rel2 in roles:
+            succ1, succ2 = rel1.successors(x), rel2.successors(xp)
+            # each max stops once it reaches lhs: only a best below lhs is reported
+            for y, dxy in succ1:
                 lhs = tnorm(zval, dxy)
                 if lhs.is_zero:
                     continue
                 best = ZERO
-                for yp, dxpyp in rel2.successors(xp):
+                for yp, dxpyp in succ2:
                     cand = tnorm(Z.value(y, yp), dxpyp)
                     if cand > best:
                         best = cand
+                        if best >= lhs:
+                            break
                 if lhs > best:
                     out.append(
                         BisimViolation(
@@ -305,15 +373,17 @@ def check_bisimulation(
                             f"{lhs} > {best}",
                         )
                     )
-            for yp, dxpyp in rel2.successors(xp):
+            for yp, dxpyp in succ2:
                 lhs = tnorm(zval, dxpyp)
                 if lhs.is_zero:
                     continue
                 best = ZERO
-                for y, dxy in rel1.successors(x):
+                for y, dxy in succ1:
                     cand = tnorm(Z.value(y, yp), dxy)
                     if cand > best:
                         best = cand
+                        if best >= lhs:
+                            break
                 if lhs > best:
                     out.append(
                         BisimViolation(

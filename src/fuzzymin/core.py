@@ -9,7 +9,6 @@ point ever enters the algebra.
 from __future__ import annotations
 
 import re
-from functools import total_ordering
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -21,7 +20,6 @@ _DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")
 DegreeLike = Union["Degree", int, float, str]
 
 
-@total_ordering
 class Degree:
     """A truth value in [0, 1] with exact fixed-point semantics.
 
@@ -61,6 +59,15 @@ class Degree:
 
     def __lt__(self, other: "Degree") -> bool:
         return self.scaled < other.scaled
+
+    def __le__(self, other: "Degree") -> bool:
+        return self.scaled <= other.scaled
+
+    def __gt__(self, other: "Degree") -> bool:
+        return self.scaled > other.scaled
+
+    def __ge__(self, other: "Degree") -> bool:
+        return self.scaled >= other.scaled
 
     def __hash__(self) -> int:
         return hash(self.scaled)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,11 @@ from fuzzymin import (
     make_interpretation,
     to_fuzzy_graph,
 )
+from fuzzymin.bisim import _flatten, _refine
 from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, ZERO, biresiduum
 from fuzzymin.concepts import _eval_concept_arr, interpretation_degree_pool, random_concept
 from fuzzymin.genbench import GeneratorParams, generate
-from fuzzymin.minimize import MinimizeParams, approximate_minimize
+from fuzzymin.minimize import MinimizeParams, approximate_minimize, construct_witness
 from instances import alternating_chain, layered_cycles, twin_stars, two_chains
 from strategies import feature_sets, interpretation_pairs, interpretations
 
@@ -219,6 +221,48 @@ class TestEngineAgreement:
         assert bumped_any
 
 
+def refine_reference(labels, out, nroles):
+    """The engine's levels, cuts and rounds by full recomputation: every
+    round re-signs every vertex of every class of more than one."""
+    levels = sorted({SCALE} | {d for lab in labels for _, d in lab}
+                    | {d for edges in out for d, _, _ in edges})
+
+    def split(block, keys):
+        ids = {}
+        return [ids.setdefault((b, k), len(ids)) for b, k in zip(block, keys)], len(ids)
+
+    block, count = [0] * len(labels), min(len(labels), 1)
+    cuts, rounds = [], 0
+    for d in levels:
+        block, count = split(block, [tuple((t, v if v < d else SCALE) for t, v in lab)
+                                     for lab in labels])
+        live = [[(r, y) for e, r, y in edges if e >= d] for edges in out]
+        while True:
+            rounds += 1
+            sizes, before = Counter(block), count
+            block, count = split(block, [
+                frozenset(r + nroles * block[y] for r, y in succ) if sizes[b] > 1 else None
+                for b, succ in zip(block, live)
+            ])
+            if count == before:
+                break
+        cuts.append(block)
+    return [Degree.from_scaled(d) for d in levels], cuts, rounds
+
+
+def first_occurrence(cut):
+    ids = {}
+    return [ids.setdefault(c, len(ids)) for c in cut]
+
+
+def assert_engine_matches_reference(flat):
+    levels, cuts, rounds = _refine(*flat)
+    ref_levels, ref_cuts, ref_rounds = refine_reference(*flat)
+    assert levels == ref_levels
+    assert [first_occurrence(c) for c in cuts] == [first_occurrence(c) for c in ref_cuts]
+    assert rounds == ref_rounds
+
+
 class TestSignatureRefinement:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(interpretations(), feature_sets)
@@ -263,6 +307,43 @@ class TestSignatureRefinement:
         # nothing); each higher level adds one round that splits nothing
         assert rounds == n + 1
         assert greatest_auto_bisimulation(interp, frozenset()).iterations == rounds
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(interpretations(), feature_sets)
+    def test_worklist_engine_matches_full_recompute(self, interp, features):
+        assert_engine_matches_reference(_flatten([to_fuzzy_graph(interp, features)]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(interpretation_pairs())
+    def test_worklist_engine_matches_full_recompute_on_unions(self, case):
+        first, second, features = case
+        assert_engine_matches_reference(
+            _flatten([to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]))
+
+    def test_dead_edge_source_with_unchanged_signature_keeps_its_class(self):
+        # entering level 0.8, the A labels of u and v drop below it and split
+        # them off w; u -> t1 (0.5) stops being live, but u still reaches
+        # t1's class through u -> t2, so u stays with v up to level 1
+        sig = Signature(("A",), ("r",), ("a",))
+        interp = make_interpretation(
+            sig, ["u", "v", "w", "t1", "t2"], {"a": "w"},
+            {"A": {"u": "0.5", "v": "0.5", "w": 1}},
+            {"r": {("u", "t1"): "0.5", ("u", "t2"): 1, ("v", "t2"): 1, ("w", "t2"): "0.8"}},
+        )
+        assert_engine_matches_reference(_flatten([to_fuzzy_graph(interp, frozenset())]))
+        partition, _ = auto_partition(interp, frozenset())
+        u, v = interp.element_index("u"), interp.element_index("v")
+        assert partition.degree(u, v) == ONE
+
+    def test_long_alternating_chain_rounds(self):
+        # a full recompute per round makes this quadratic (seconds); the
+        # worklist engine re-signs one vertex per round
+        n = 3000
+        partition, rounds = auto_partition(alternating_chain(n), frozenset())
+        leaves = [b for b in partition.blocks() if b.is_crisp]
+        assert len(leaves) == n
+        assert all(b.hi - b.lo == 1 for b in leaves)
+        assert rounds == n + 1
 
 
 class TestTheoremSampling:
@@ -353,6 +434,31 @@ class TestCheckBisimulation:
         Z = FuzzyRelation(interp.n, interp.n, entries)
         violations = check_bisimulation(Z, interp, interp, frozenset("O"))
         assert any(v.condition == 4 for v in violations)
+
+    def test_raised_witness_entry_fails_a_transfer_condition(self):
+        # at 0.8 the reduction keeps u1 -> v1 -> w1 with degree 0.8, and the
+        # witness relates u2 (u2 -> v2 has degree 0.9) to u1 with degree 0.8;
+        # raised to 1, the pair needs an r-successor of u1 related to v2 by
+        # 0.9, and the best there is reaches 0.8
+        interp = two_chains()
+        params = MinimizeParams(frozenset(), D("0.8"))
+        result = approximate_minimize(interp, params)
+        reduced = result.reduced
+        witness = construct_witness(interp, result, params)
+        assert check_bisimulation(witness, interp, reduced, frozenset()) == []
+        u2, u1 = interp.element_index("u2"), reduced.element_index("u1")
+        assert witness.value(u2, u1) == D("0.8")
+        entries = dict(witness.items())
+        entries[u2, u1] = ONE
+        raised = FuzzyRelation(witness.rows, witness.cols, entries)
+        forward = check_bisimulation(raised, interp, reduced, frozenset())
+        assert [(v.condition, v.x, v.x_prime, v.role, v.witness) for v in forward] == [
+            (2, "u2", "u1", BasicRole("r"), "v2")]
+        assert forward[0].detail == "forward transfer over r to v2: 0.9 > 0.8"
+        # the same pair seen from the other side fails the backward condition
+        backward = check_bisimulation(raised.inverse(), reduced, interp, frozenset())
+        assert [(v.condition, v.x, v.x_prime, v.role, v.witness) for v in backward] == [
+            (3, "u1", "u2", BasicRole("r"), "v2")]
 
 
 class TestBisimilarityDegree:
