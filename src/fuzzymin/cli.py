@@ -66,13 +66,21 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
             _fail(line_no, f"section {keyword!r} appears out of order")
         stage = target
 
+    # each distinct literal is parsed once; bad ones are never stored, so a
+    # repeat fails again on its own line
+    parsed: Dict[str, Degree] = {}
+
     def parse_degree(token: str, line_no: int) -> Degree:
+        deg = parsed.get(token)
+        if deg is not None:
+            return deg
         try:
             deg = Degree(token)
         except ValueError as exc:
             _fail(line_no, str(exc))
         if deg.is_zero:
             _fail(line_no, "zero degree: omit the fact instead of writing degree 0")
+        parsed[token] = deg
         return deg
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -175,15 +183,24 @@ def write_interpretation(interp: FuzzyInterpretation) -> str:
     ]
     if sig.features:
         lines.append("features" + "".join(f" {f}" for f in sorted(sig.features)))
-    lines.append("domain" + "".join(f" {e}" for e in interp.domain))
+    names = interp.domain
+    lines.append("domain" + "".join(f" {e}" for e in names))
     for a in sig.individual_names:
-        lines.append(f"ind {a} {interp.element_name(interp.individuals[a])}")
+        lines.append(f"ind {a} {names[interp.individuals[a]]}")
+    # each distinct degree is formatted once
+    text: Dict[int, str] = {}
     for cname in sig.concept_names:
         for idx, deg in interp.concept_set(cname).items():
-            lines.append(f"concept {cname} {interp.element_name(idx)} {deg}")
+            dtext = text.get(deg.scaled)
+            if dtext is None:
+                dtext = text[deg.scaled] = str(deg)
+            lines.append(f"concept {cname} {names[idx]} {dtext}")
     for rname in sig.role_names:
         for (x, y), deg in interp.role_relation(rname).items():
-            lines.append(f"role {rname} {interp.element_name(x)} {interp.element_name(y)} {deg}")
+            dtext = text.get(deg.scaled)
+            if dtext is None:
+                dtext = text[deg.scaled] = str(deg)
+            lines.append(f"role {rname} {names[x]} {names[y]} {dtext}")
     return "\n".join(lines) + "\n"
 
 

@@ -37,7 +37,11 @@ class Degree:
         elif isinstance(value, int) and not isinstance(value, bool):
             scaled = value * SCALE
         elif isinstance(value, float):
+            if not 0.0 <= value <= 1.0:  # also rejects nan and the infinities
+                raise ValueError(f"degree out of [0,1]: {value!r}")
             scaled = round(value * SCALE)
+            if scaled / SCALE != value:
+                raise ValueError(f"float is not a decimal with at most 9 fractional digits: {value!r}")
         elif isinstance(value, str):
             scaled = _parse_scaled(value)
         else:
@@ -190,10 +194,11 @@ class FuzzyRelation:
 
     Keeps forward and inverse adjacency so that successors(x) and
     predecessors(y) are cheap; the inverse index always mirrors the entries
-    of the inverse relation.
+    of the inverse relation.  Relations are immutable, so the sorted degree
+    set is computed once, on first use.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_fwd", "_inv")
+    __slots__ = ("rows", "cols", "_entries", "_fwd", "_inv", "_degrees")
 
     def __init__(
         self,
@@ -224,6 +229,7 @@ class FuzzyRelation:
         self._entries = data
         self._fwd = {i: tuple(sorted(v)) for i, v in fwd.items()}
         self._inv = {j: tuple(sorted(v)) for j, v in inv.items()}
+        self._degrees: Optional[Tuple[Degree, ...]] = None
 
     def value(self, i: int, j: int) -> Degree:
         return self._entries.get((i, j), ZERO)
@@ -247,7 +253,9 @@ class FuzzyRelation:
         return tuple(sorted(self._inv))
 
     def degrees(self) -> Tuple[Degree, ...]:
-        return tuple(sorted(set(self._entries.values())))
+        if self._degrees is None:
+            self._degrees = tuple(sorted(set(self._entries.values())))
+        return self._degrees
 
     def inverse(self) -> "FuzzyRelation":
         return FuzzyRelation(self.cols, self.rows, {(j, i): d for (i, j), d in self._entries.items()})

@@ -65,13 +65,28 @@ class MinimizeResult:
     reduced: FuzzyInterpretation
     trace: MinimizationTrace
     params: MinimizeParams
-    n1: int
-    m1: int
-    reduction: float
-    dropped: int
-    source_n: int
     partition: CompactFuzzyPartition
     bisim_rounds: int  # signature rounds of the auto-bisimulation, 0 when a partition was passed in
+
+    @property
+    def n1(self) -> int:
+        return self.reduced.n
+
+    @property
+    def m1(self) -> int:
+        return sum(len(rel) for rel in self.reduced.roles.values())
+
+    @property
+    def source_n(self) -> int:
+        return self.partition.n
+
+    @property
+    def dropped(self) -> int:
+        return self.source_n - self.n1
+
+    @property
+    def reduction(self) -> float:
+        return 1.0 - self.n1 / self.source_n
 
 
 def compute_D(interp: FuzzyInterpretation, gamma: Degree) -> List[Degree]:
@@ -107,7 +122,8 @@ def approximate_minimize(
     A precomputed partition of the greatest auto-bisimulation (for the same
     feature set) may be supplied; otherwise it is computed here.
     ``use_flattening=False`` switches to the plain tree walk, kept for
-    differential testing against the union-find path.
+    differential testing against the union-find path.  ``narrate`` receives
+    the ``--verbose`` narrative line by line; without it no line is built.
     """
     problems = validate(interp)
     if problems:
@@ -115,21 +131,16 @@ def approximate_minimize(
     sig = interp.signature
     fs = params.features
     gamma = params.gamma
-    say = narrate if narrate is not None else (lambda line: None)
+    name = interp.element_name
 
     rounds = 0
     if partition is None:
         partition, rounds = auto_partition(interp, fs)
     partition.reset_overlay()
 
-    def locate(x: int, d: Degree):
-        if use_flattening:
-            return partition.flatten_and_find(x, d)
-        return partition.find_block(x, d)
+    locate = partition.flatten_and_find if use_flattening else partition.find_block
 
     def check_block(block) -> None:
-        if not debug_checks:
-            return
         if block.repr is not None:
             assert partition.contains(block, block.repr), "representative left its block"
         cur = block
@@ -144,7 +155,6 @@ def approximate_minimize(
     adjacency = {role: interp.basic_role_relation(role) for role in roles_in_order}
 
     added_order: List[int] = []
-    added_level: Dict[int, Degree] = {}
     trace = MinimizationTrace()
     new_individuals: Dict[str, int] = {}
     new_roles: Dict[str, Dict[Tuple[int, int], Degree]] = {r: {} for r in sig.role_names}
@@ -161,12 +171,11 @@ def approximate_minimize(
 
     def add_element(x: int, level: Degree, via_x: Optional[int], via_role: Optional[BasicRole]) -> None:
         added_order.append(x)
-        added_level[x] = level
         trace.added.append(
             TraceEntry(
-                element=interp.element_name(x),
+                element=name(x),
                 degree=level,
-                via_element=None if via_x is None else interp.element_name(via_x),
+                via_element=None if via_x is None else name(via_x),
                 via_role=via_role,
             )
         )
@@ -179,11 +188,14 @@ def approximate_minimize(
             add_element(ax, gamma, None, None)
             new_individuals[a] = ax
             partition.set_repr_upward(block, ax)
-            say(f"seed {a} -> {interp.element_name(ax)} (new)")
+            if narrate is not None:
+                narrate(f"seed {a} -> {name(ax)} (new)")
         else:
             new_individuals[a] = block.repr
-            say(f"seed {a} -> {interp.element_name(block.repr)} (alias)")
-        check_block(block)
+            if narrate is not None:
+                narrate(f"seed {a} -> {name(block.repr)} (alias)")
+        if debug_checks:
+            check_block(block)
 
     for x in added_order:
         push_out_edges(x)
@@ -191,37 +203,35 @@ def approximate_minimize(
     levels = compute_D(interp, gamma)
     trace.degree_levels = list(levels)
 
-    def set_role_entry(role: BasicRole, x: int, y_repr: int, level: Degree) -> None:
-        if role.inverse:
-            src, dst = y_repr, x
-        else:
-            src, dst = x, y_repr
-        bucket = new_roles[role.name]
-        if (src, dst) not in bucket:
-            bucket[src, dst] = level
-            say(
-                f"  set {role.name}({interp.element_name(src)},{interp.element_name(dst)}) := {level}"
-            )
-
     for d in levels:
-        say(f"level d={d}")
-        while heap and -heap[0][0] >= d.scaled:
-            _, _, x, role, y = heapq.heappop(heap)
-            prio = adjacency[role].value(x, y)
-            say(f"  take <{interp.element_name(x)},{role},{interp.element_name(y)}> priority={prio}")
+        if narrate is not None:
+            narrate(f"level d={d}")
+        floor = -d.scaled
+        while heap and heap[0][0] <= floor:
+            key, _, x, role, y = heapq.heappop(heap)
+            if narrate is not None:
+                narrate(f"  take <{name(x)},{role},{name(y)}> priority={Degree.from_scaled(-key)}")
             block = locate(y, d)
             if block.repr is None:
                 add_element(y, d, x, role)
                 partition.set_repr_upward(block, y)
                 push_out_edges(y)
-                say(f"  add {interp.element_name(y)}; block degree {block.degree} keeper := {interp.element_name(y)}")
-            check_block(block)
-            set_role_entry(role, x, block.repr, d)
+                if narrate is not None:
+                    narrate(f"  add {name(y)}; block degree {block.degree} keeper := {name(y)}")
+            if debug_checks:
+                check_block(block)
+            # the role entry between x and y's keeper, at the first level that reaches it
+            src, dst = (block.repr, x) if role.inverse else (x, block.repr)
+            bucket = new_roles[role.name]
+            if (src, dst) not in bucket:
+                bucket[src, dst] = d
+                if narrate is not None:
+                    narrate(f"  set {role.name}({name(src)},{name(dst)}) := {d}")
 
     # assemble the reduced interpretation, keeping original names and order
     kept_sorted = sorted(added_order)
     old_to_new = {x: i for i, x in enumerate(kept_sorted)}
-    domain = [interp.element_name(x) for x in kept_sorted]
+    domain = [name(x) for x in kept_sorted]
     n1 = len(domain)
 
     concepts: Dict[str, FuzzySet] = {}
@@ -236,14 +246,12 @@ def approximate_minimize(
             concepts[cname] = FuzzySet(n1, entries)
 
     roles: Dict[str, FuzzyRelation] = {}
-    m1 = 0
     for rname in sig.role_names:
         bucket = new_roles[rname]
         if not bucket:
             continue
         entries = {(old_to_new[x], old_to_new[y]): deg for (x, y), deg in bucket.items()}
         roles[rname] = FuzzyRelation(n1, n1, entries)
-        m1 += len(entries)
 
     reduced = FuzzyInterpretation(
         sig,
@@ -252,16 +260,10 @@ def approximate_minimize(
         concepts,
         roles,
     )
-    n = interp.n
     return MinimizeResult(
         reduced=reduced,
         trace=trace,
         params=params,
-        n1=n1,
-        m1=m1,
-        reduction=1.0 - n1 / n,
-        dropped=n - n1,
-        source_n=n,
         partition=partition,
         bisim_rounds=rounds,
     )

@@ -180,7 +180,7 @@ def make_interpretation(
         for elem, deg in facts.items():
             if elem not in index:
                 raise ValueError(f"concept fact {cname}({elem}) names unknown element")
-            entries[index[elem]] = Degree(deg)
+            entries[index[elem]] = deg if isinstance(deg, Degree) else Degree(deg)
         csets[cname] = FuzzySet(n, entries)
 
     rrels: Dict[str, FuzzyRelation] = {}
@@ -189,7 +189,7 @@ def make_interpretation(
         for (x, y), deg in facts.items():
             if x not in index or y not in index:
                 raise ValueError(f"role fact {rname}({x},{y}) names unknown element")
-            entries[index[x], index[y]] = Degree(deg)
+            entries[index[x], index[y]] = deg if isinstance(deg, Degree) else Degree(deg)
         rrels[rname] = FuzzyRelation(n, n, entries)
 
     return FuzzyInterpretation(signature, domain, ind, csets, rrels)

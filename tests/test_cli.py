@@ -7,6 +7,7 @@ from fuzzymin.cli import (
     write_interpretation,
 )
 from fuzzymin.core import Degree
+from fuzzymin.model import Signature, make_interpretation
 from instances import layered_cycles, twin_stars, two_chains
 
 D = Degree
@@ -77,6 +78,45 @@ class TestFileFormat:
         assert signature.features == frozenset("IO")
         assert write_interpretation(interp) == text
 
+    REPEATS = (
+        "concepts A\nroles r\nindividuals a\ndomain x y z\nind a x\n"
+        "concept A x 0.5\nconcept A y 0.5\nconcept A z 1\n"
+        "role r x y 0.5\nrole r y z 0.5\nrole r z x 1\n"
+    )
+
+    def test_repeated_literals_parse_like_make_interpretation(self):
+        _, interp = parse_interpretation(self.REPEATS)
+        assert interp == make_interpretation(
+            Signature(("A",), ("r",), ("a",)), ["x", "y", "z"], {"a": "x"},
+            {"A": {"x": "0.5", "y": "0.5", "z": "1"}},
+            {"r": {("x", "y"): "0.5", ("y", "z"): "0.5", ("z", "x"): "1"}},
+        )
+
+    @pytest.mark.parametrize("fact, message", [
+        ("role r z y 0", "line 12: zero degree: omit the fact instead of writing degree 0"),
+        ("role r z y 0.5.", "line 12: malformed degree literal: '0.5.'"),
+        ("role r z y 1.5", "line 12: degree out of [0,1]: '1.5'"),
+    ])
+    def test_bad_literal_after_repeats_names_its_line(self, fact, message):
+        # the bad literal's line, whatever literals came before it
+        with pytest.raises(CliInputError) as info:
+            parse_interpretation(self.REPEATS + fact + "\n")
+        assert str(info.value) == message
+
+    def test_repeated_bad_literal_names_each_line(self):
+        lines = self.REPEATS.splitlines()
+        for k in (6, 9):
+            bad = lines[:]
+            bad[k - 1] = bad[k - 1].rsplit(" ", 1)[0] + " 0.50x"
+            with pytest.raises(CliInputError) as info:
+                parse_interpretation("\n".join(bad) + "\n")
+            assert str(info.value) == f"line {k}: malformed degree literal: '0.50x'"
+        both = lines[:]
+        for k in (7, 10):
+            both[k - 1] = both[k - 1].rsplit(" ", 1)[0] + " 0"
+        with pytest.raises(CliInputError, match="^line 7: zero degree"):
+            parse_interpretation("\n".join(both) + "\n")
+
     def test_generated_instances_round_trip(self):
         from fuzzymin.genbench import GeneratorParams, generate
         interp = generate(GeneratorParams(
@@ -118,6 +158,47 @@ class TestCommands:
         assert len(reduced.domain) == 2
         assert "level d=" in err
         assert "kept 2 of 7" in err
+
+    def test_verbose_narrative_is_byte_stable(self, tmp_path, capsys):
+        # pinned byte for byte: narrating only to a listener must not change it
+        twin = tmp_path / "twin.txt"
+        twin.write_text(TWIN_FILE)
+        status, _, err = run_cli(capsys, ["minimize", "--verbose", "--in", str(twin)])
+        assert status == 0
+        assert err == (
+            "seed a -> u (new)\n"
+            "seed b -> u (alias)\n"
+            "level d=1\n"
+            "level d=0.7\n"
+            "  take <u,r,v3> priority=0.7\n"
+            "  add v3; block degree 0.7 keeper := v3\n"
+            "  set r(u,v3) := 0.7\n"
+            "level d=0.6\n"
+            "level d=0.5\n"
+            "  take <u,r,v1> priority=0.5\n"
+            "level d=0.4\n"
+            "  take <u,r,v2> priority=0.4\n"
+            "kept 2 of 7 elements (71.4% reduction), 1 role instances\n"
+        )
+        chains = tmp_path / "chains.txt"
+        chains.write_text(write_interpretation(two_chains()))
+        status, _, err = run_cli(
+            capsys, ["minimize", "--verbose", "--gamma", "0.8", "--with-o", "--in", str(chains)])
+        assert status == 0
+        assert err == (
+            "seed a -> u1 (new)\n"
+            "seed b -> u2 (new)\n"
+            "level d=0.8\n"
+            "  take <u1,r,v1> priority=1\n"
+            "  add v1; block degree 0.8 keeper := v1\n"
+            "  set r(u1,v1) := 0.8\n"
+            "  take <v1,r,w1> priority=1\n"
+            "  add w1; block degree 0.8 keeper := w1\n"
+            "  set r(v1,w1) := 0.8\n"
+            "  take <u2,r,v2> priority=0.9\n"
+            "  set r(u2,v1) := 0.8\n"
+            "kept 4 of 6 elements (33.3% reduction), 3 role instances\n"
+        )
 
     def test_minimize_with_nominals_at_point_eight(self, tmp_path, capsys):
         infile = tmp_path / "chains.txt"

@@ -40,6 +40,16 @@ class TestDegree:
             with pytest.raises(ValueError):
                 D(bad)
 
+    def test_rejects_floats_that_are_not_nine_digit_decimals(self):
+        for bad in (1e-12, 0.1234567891, 1.0000000001, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                D(bad)
+
+    def test_accepts_floats_that_are_nine_digit_decimals(self):
+        assert D(0.3) == D("0.3")
+        assert D(0.142857142) == D("0.142857142")
+        assert D(1.0) == ONE
+
     def test_ordering_is_exact(self):
         assert D("0.1") < D("0.100000001")
         assert max(D("0.3"), D("0.7")) == D("0.7")

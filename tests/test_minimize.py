@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzymin import (
     Signature,
@@ -18,6 +19,7 @@ from fuzzymin.concepts import preservation_report
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize, compute_D
 from instances import layered_cycles, research_network, twin_stars, two_chains
+from strategies import PALETTE, feature_sets, interpretations
 
 D = Degree
 
@@ -54,6 +56,17 @@ class TestComputeD:
     def test_layered_levels(self):
         assert compute_D(layered_cycles(), ONE) == [
             ONE, D("0.9"), D("0.8"), D("0.7"), D("0.4"), D("0.3"), D("0.2")]
+
+    def test_memoized_levels_equal_a_fresh_scan(self):
+        # relations cache their sorted degree set; the levels must not drift
+        # from a scan of every role entry, however often they are asked for
+        for interp, _, gamma in random_cases(20, seed_base=1700):
+            scan = {gamma}
+            for rel in interp.roles.values():
+                scan.update(d for _, d in rel.items() if d < gamma)
+            fresh = sorted(scan, reverse=True)
+            for _ in range(3):
+                assert compute_D(interp, gamma) == fresh
 
 
 class TestGoldenRuns:
@@ -369,6 +382,19 @@ class TestProperties:
         ]:
             approximate_minimize(
                 interp, MinimizeParams(features, gamma), debug_checks=True)
+
+
+class TestNarration:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(interpretations(), feature_sets, st.sampled_from(PALETTE))
+    def test_listener_makes_no_difference(self, interp, features, gamma):
+        params = MinimizeParams(features, D(gamma))
+        lines = []
+        heard = approximate_minimize(interp, params, narrate=lines.append)
+        silent = approximate_minimize(interp, params)
+        assert lines
+        assert heard.trace == silent.trace
+        assert heard.reduced == silent.reduced
 
 
 class TestPartitionReuse:
