@@ -31,10 +31,6 @@ from .partition import (
     Block,
     CompactFuzzyPartition,
     build_compact_partition,
-    find_block,
-    flatten_and_find,
-    partition_to_equivalence,
-    set_repr_upward,
 )
 from .bisim import (
     BisimResult,

@@ -7,12 +7,14 @@ auto-bisimulation are nested crisp equivalences, one per degree level, so
 the engine computes them level by level in ascending order, refining each
 level's partition by signatures (Blom & Orzan 2005) in the spirit of Nguyen
 & Tran (IEEE TFS 2021).  A round re-signs only the predecessors of the
-vertices that changed class, and a split class keeps its id for the members
-that were not re-signed, after Paige & Tarjan (SIAM J. Comput. 1987).  That
-chain of partitions is the compact fuzzy partition; no n x n matrix is
-built.  The greatest bisimulation between two interpretations is the
-auto-bisimulation of their disjoint union, restricted to the pairs across
-the two.
+vertices that changed class.  A split class keeps its id for the members
+that were not re-signed, even when they are the smaller group, so the
+"process the smaller half" bound of Paige & Tarjan (SIAM J. Comput. 1987)
+does not hold here (ROADMAP.md, open item 1, "Refinement at the paper's
+bound").  That chain of partitions is the compact fuzzy partition; no n x n
+matrix is built.  The greatest bisimulation between two interpretations is
+the auto-bisimulation of their disjoint union, restricted to the pairs
+across the two.
 """
 
 from __future__ import annotations

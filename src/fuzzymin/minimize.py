@@ -108,22 +108,69 @@ def compute_D(interp: FuzzyInterpretation, gamma: Degree) -> List[Degree]:
     return sorted(levels, reverse=True)
 
 
+class _Run:
+    """The reduction's per-run state over a shared, read-only block tree, in
+    lists indexed by block id.
+
+    ``up[b]`` is the ancestor a lookup continues from once it has climbed past
+    b; ``keeper[b]`` is the element kept for b, -1 while b is unclaimed.
+    """
+
+    __slots__ = ("blocks", "parent", "scaled", "leaf", "up", "keeper")
+
+    def __init__(self, partition: CompactFuzzyPartition):
+        self.blocks = list(partition.blocks())
+        self.parent = [-1 if b.parent is None else b.parent.id for b in self.blocks]
+        self.scaled = [b.degree.scaled for b in self.blocks]
+        self.leaf = [b.id for b in partition.leaf_of]
+        self.up = list(range(len(self.blocks)))
+        self.keeper = [-1] * len(self.blocks)
+
+    def locate(self, x: int, d: int) -> int:
+        """The block on x's root path with the least degree >= d (scaled).
+
+        d must not rise within a run: a block climbed past is then never
+        located again, so ``up`` lets later lookups skip it (path halving,
+        after Tarjan 1975).
+        """
+        up, parent, scaled = self.up, self.parent, self.scaled
+        b = self.leaf[x]
+        while up[b] != b:
+            up[b] = b = up[up[b]]
+        while parent[b] >= 0:
+            p = parent[b]
+            while up[p] != p:
+                up[p] = p = up[up[p]]
+            if scaled[p] < d:
+                break
+            up[b] = p
+            b = p
+        return b
+
+    def claim(self, b: int, x: int) -> None:
+        """Keep x for b and for each ancestor up to the first claimed one, so
+        the claimed blocks stay closed upward."""
+        parent, keeper = self.parent, self.keeper
+        while b >= 0 and keeper[b] < 0:
+            keeper[b] = x
+            b = parent[b]
+
+
 def approximate_minimize(
     interp: FuzzyInterpretation,
     params: MinimizeParams,
     *,
     partition: Optional[CompactFuzzyPartition] = None,
-    use_flattening: bool = True,
     debug_checks: bool = False,
     narrate: Optional[Callable[[str], None]] = None,
 ) -> MinimizeResult:
     """Minimize the domain while preserving concept assertions up to gamma.
 
     A precomputed partition of the greatest auto-bisimulation (for the same
-    feature set) may be supplied; otherwise it is computed here.
-    ``use_flattening=False`` switches to the plain tree walk, kept for
-    differential testing against the union-find path.  ``narrate`` receives
-    the ``--verbose`` narrative line by line; without it no line is built.
+    feature set) may be supplied; otherwise it is computed here.  The run
+    only reads it, so one partition may serve any number of runs, nested ones
+    included.  ``narrate`` receives the ``--verbose`` narrative line by line;
+    without it no line is built.
     """
     problems = validate(interp)
     if problems:
@@ -136,20 +183,18 @@ def approximate_minimize(
     rounds = 0
     if partition is None:
         partition, rounds = auto_partition(interp, fs)
-    partition.reset_overlay()
+    run = _Run(partition)
+    keeper = run.keeper
 
-    locate = partition.flatten_and_find if use_flattening else partition.find_block
-
-    def check_block(block) -> None:
-        if block.repr is not None:
-            assert partition.contains(block, block.repr), "representative left its block"
-        cur = block
-        while cur.parent is not None:
-            up = partition.class_top(cur.parent)
-            assert not (up.repr is None and cur.repr is not None), (
+    def check_block(b: int) -> None:
+        if keeper[b] >= 0:
+            assert partition.contains(run.blocks[b], keeper[b]), "representative left its block"
+        while run.parent[b] >= 0:
+            p = run.parent[b]
+            assert not (keeper[p] < 0 and keeper[b] >= 0), (
                 "descendant has a representative while an ancestor lacks one"
             )
-            cur = up
+            b = p
 
     roles_in_order = basic_roles(sig, fs)
     adjacency = {role: interp.basic_role_relation(role) for role in roles_in_order}
@@ -183,17 +228,17 @@ def approximate_minimize(
     # seed from the named individuals
     for a in sig.individual_names:
         ax = interp.individual_element(a)
-        block = locate(ax, gamma)
-        if block.repr is None:
+        block = run.locate(ax, gamma.scaled)
+        if keeper[block] < 0:
             add_element(ax, gamma, None, None)
             new_individuals[a] = ax
-            partition.set_repr_upward(block, ax)
+            run.claim(block, ax)
             if narrate is not None:
                 narrate(f"seed {a} -> {name(ax)} (new)")
         else:
-            new_individuals[a] = block.repr
+            new_individuals[a] = keeper[block]
             if narrate is not None:
-                narrate(f"seed {a} -> {name(block.repr)} (alias)")
+                narrate(f"seed {a} -> {name(keeper[block])} (alias)")
         if debug_checks:
             check_block(block)
 
@@ -211,17 +256,17 @@ def approximate_minimize(
             key, _, x, role, y = heapq.heappop(heap)
             if narrate is not None:
                 narrate(f"  take <{name(x)},{role},{name(y)}> priority={Degree.from_scaled(-key)}")
-            block = locate(y, d)
-            if block.repr is None:
+            block = run.locate(y, d.scaled)
+            if keeper[block] < 0:
                 add_element(y, d, x, role)
-                partition.set_repr_upward(block, y)
+                run.claim(block, y)
                 push_out_edges(y)
                 if narrate is not None:
-                    narrate(f"  add {name(y)}; block degree {block.degree} keeper := {name(y)}")
+                    narrate(f"  add {name(y)}; block degree {run.blocks[block].degree} keeper := {name(y)}")
             if debug_checks:
                 check_block(block)
             # the role entry between x and y's keeper, at the first level that reaches it
-            src, dst = (block.repr, x) if role.inverse else (x, block.repr)
+            src, dst = (keeper[block], x) if role.inverse else (x, keeper[block])
             bucket = new_roles[role.name]
             if (src, dst) not in bucket:
                 bucket[src, dst] = d

@@ -1,5 +1,6 @@
-"""Compact fuzzy partitions: the block tree of a fuzzy equivalence, with the
-navigation and union-find flattening the minimizer needs."""
+"""Compact fuzzy partitions: the block tree of a fuzzy equivalence and its
+read-only navigation.  A tree is never written after it is built, so any
+number of runs, nested ones included, may share one."""
 
 from __future__ import annotations
 
@@ -21,12 +22,10 @@ class Block:
     Crisp blocks (leaves) have degree 1 and carry elements directly; fuzzy
     blocks have degree < 1 and at least two subblocks.  Elements are kept as
     a contiguous span over the partition's element ordering, so membership
-    and enumeration stay cheap.  `repr` is the retained representative
-    element; it, `absorbed` and `fully_flat` belong to the minimizer's
-    per-run overlay.
+    and enumeration stay cheap.
     """
 
-    __slots__ = ("id", "degree", "parent", "children", "lo", "hi", "repr", "absorbed", "fully_flat")
+    __slots__ = ("id", "degree", "parent", "children", "lo", "hi")
 
     def __init__(self, block_id: int, degree: Degree, parent: Optional["Block"]):
         self.id = block_id
@@ -35,9 +34,6 @@ class Block:
         self.children: List["Block"] = []
         self.lo = 0
         self.hi = 0
-        self.repr: Optional[int] = None
-        self.absorbed = False  # merged into some flattened class
-        self.fully_flat = False  # this block's whole subtree is one class
 
     @property
     def is_crisp(self) -> bool:
@@ -49,12 +45,11 @@ class Block:
 
 
 class CompactFuzzyPartition:
-    """Block tree over a finite carrier plus union-find flattening state.
+    """Block tree over a finite carrier, never mutated after construction.
 
-    The tree itself is never mutated after construction; flattening only
-    merges blocks into classes in the union-find overlay, so read-only
-    consumers (rendering, equivalence reconstruction, pair degrees) always
-    see the original structure.  ``reset_overlay`` starts a fresh run.
+    Blocks are numbered 0..block_count()-1 by ``Block.id`` in ``blocks()``
+    order, so per-run state (the minimizer's keepers) lives in lists the run
+    owns, indexed by block id.
     """
 
     def __init__(self, root: Block, blocks: List[Block], order: List[int], names: Sequence[str]):
@@ -71,7 +66,6 @@ class CompactFuzzyPartition:
             if b.is_crisp:
                 for p in range(b.lo, b.hi):
                     self.leaf_of[order[p]] = b
-        self.reset_overlay()
 
     @property
     def n(self) -> int:
@@ -89,89 +83,17 @@ class CompactFuzzyPartition:
     def contains(self, block: Block, x: int) -> bool:
         return block.lo <= self.pos[x] < block.hi
 
-    # union-find overlay -------------------------------------------------
-
-    def _find(self, block_id: int) -> int:
-        parent = self._uf_parent
-        root = block_id
-        while parent[root] != root:
-            root = parent[root]
-        while parent[block_id] != root:
-            parent[block_id], block_id = root, parent[block_id]
-        return root
-
-    def class_top(self, block: Block) -> Block:
-        return self._top[self._find(block.id)]
-
-    def _union_into(self, member: Block, top: Block) -> None:
-        ra, rb = self._find(member.id), self._find(top.id)
-        if ra == rb:
-            return
-        if self._uf_size[ra] < self._uf_size[rb]:
-            ra, rb = rb, ra
-        self._uf_parent[rb] = ra
-        self._uf_size[ra] += self._uf_size[rb]
-        self._top[ra] = top
-
-    # navigation ---------------------------------------------------------
-
     def find_block(self, x: int, d: Degree) -> Block:
         """The block on x's root-to-leaf path with the smallest degree >= d.
 
-        A crisp leaf always qualifies (degree 1).  After flattening merges,
-        the returned block is the representative top of its merged class.
+        A crisp leaf always qualifies (degree 1); d must be positive.
         """
-        cur = self.class_top(self.leaf_of[x])
-        while cur.parent is not None:
-            up = self.class_top(cur.parent)
-            if up.degree < d:
-                break
-            cur = up
+        if d.is_zero:
+            raise ValueError("find_block requires a positive degree")
+        cur = self.leaf_of[x]
+        while cur.parent is not None and cur.parent.degree >= d:
+            cur = cur.parent
         return cur
-
-    def flatten_and_find(self, x: int, d: Degree) -> Block:
-        """find_block plus flattening of the located block (union-find merge).
-
-        Intended for calls with non-increasing d across a run; the located
-        block's internal structure is not needed afterwards, only its degree
-        and representative.
-        """
-        found = self.find_block(x, d)
-        self._flatten(found)
-        return found
-
-    def _flatten(self, top: Block) -> None:
-        if top.fully_flat:
-            return
-        top.absorbed = True
-        top.fully_flat = True
-        stack = list(top.children)
-        while stack:
-            child = stack.pop()
-            self._union_into(child, top)
-            if child.absorbed:
-                continue  # its subtree already lives in child's old class
-            child.absorbed = True
-            stack.extend(child.children)
-
-    def set_repr_upward(self, block: Block, element: int) -> None:
-        """Set the representative on block and on every ancestor that lacks one."""
-        cur = self.class_top(block)
-        while cur is not None and cur.repr is None:
-            cur.repr = element
-            cur = self.class_top(cur.parent) if cur.parent is not None else None
-
-    def reset_overlay(self) -> None:
-        """Undo every flattening merge and representative of an earlier run."""
-        self._uf_parent = list(range(len(self._blocks)))
-        self._uf_size = [1] * len(self._blocks)
-        self._top = list(self._blocks)
-        for b in self._blocks:
-            b.repr = None
-            b.absorbed = False
-            b.fully_flat = False
-
-    # read-only views ----------------------------------------------------
 
     def render(self, names: Sequence[str] | None = None) -> str:
         """Text form of the tree, e.g. ``{{a1}_1, {{a2}_1,{a3}_1}_0.4}_0``.
@@ -299,23 +221,3 @@ def build_compact_partition(
             member = min(member, least[i])
             cuts[i][x] = member
     return partition_from_cuts([Degree.from_scaled(s) for s in levels], cuts, names)
-
-
-def partition_to_equivalence(partition: CompactFuzzyPartition) -> FuzzyRelation:
-    return partition.to_equivalence()
-
-
-def find_block(partition: CompactFuzzyPartition, x: int, d: Degree) -> Block:
-    if d.is_zero:
-        raise ValueError("find_block requires a positive degree")
-    return partition.find_block(x, d)
-
-
-def flatten_and_find(partition: CompactFuzzyPartition, x: int, d: Degree) -> Block:
-    if d.is_zero:
-        raise ValueError("flatten_and_find requires a positive degree")
-    return partition.flatten_and_find(x, d)
-
-
-def set_repr_upward(partition: CompactFuzzyPartition, block: Block, element: int) -> None:
-    partition.set_repr_upward(block, element)

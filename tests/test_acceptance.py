@@ -16,7 +16,6 @@ from fuzzymin import (
     construct_witness,
     greatest_auto_bisimulation,
     greatest_bisimulation_reference,
-    partition_to_equivalence,
     rst_closure,
 )
 from fuzzymin.bisim import auto_partition
@@ -321,7 +320,7 @@ def test_criterion_6_sampling_roundtrip_order_independence():
                 entries[(rng.randrange(n), rng.randrange(n))] = D.from_scaled(
                     rng.randint(1, 8) * (SCALE // 8))
             phi = rst_closure(FuzzyRelation(n, n, entries))
-            assert partition_to_equivalence(build_compact_partition(phi)) == phi
+            assert build_compact_partition(phi).to_equivalence() == phi
 
         # fixpoint order independence on 100 instances, n <= 12
         for i, (interp, features, _gamma) in enumerate(

@@ -17,7 +17,7 @@ from fuzzymin import (
 from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, tnorm
 from fuzzymin.concepts import preservation_report
 from fuzzymin.genbench import GeneratorParams, generate
-from fuzzymin.minimize import MinimizeParams, approximate_minimize, compute_D
+from fuzzymin.minimize import MinimizeParams, _Run, approximate_minimize, compute_D
 from instances import layered_cycles, research_network, twin_stars, two_chains
 from strategies import PALETTE, feature_sets, interpretations
 
@@ -368,11 +368,12 @@ class TestProperties:
         cases = list(random_cases(20, seed_base=1100))
         cases += [(twin_stars(), frozenset("IO"), ONE), (layered_cycles(), frozenset("I"), ONE)]
         for interp, features, gamma in cases:
-            params = MinimizeParams(features, gamma)
-            flat = approximate_minimize(interp, params, use_flattening=True)
-            plain = approximate_minimize(interp, params, use_flattening=False)
-            assert facts(flat.reduced) == facts(plain.reduced)
-            assert flat.trace.added == plain.trace.added
+            # every element at every level, levels descending as in a run
+            partition, _ = auto_partition(interp, features)
+            run = _Run(partition)
+            for d in compute_D(interp, gamma):
+                for x in range(interp.n):
+                    assert run.locate(x, d.scaled) == partition.find_block(x, d).id
 
     def test_debug_checks_hold_on_goldens(self):
         for interp, features, gamma in [
@@ -399,8 +400,8 @@ class TestNarration:
 
 class TestPartitionReuse:
     def test_second_run_on_a_partition_equals_a_fresh_run(self):
-        # a run at 0.3 flattens most of the tree; the run at 1 after it must
-        # not inherit those merges
+        # a run at 0.3 climbs past most of the tree; the run at 1 after it must
+        # not inherit that state
         for interp, features, _ in random_cases(40, seed_base=1300):
             partition, _ = auto_partition(interp, features)
             approximate_minimize(interp, MinimizeParams(features, D("0.3")), partition=partition)
@@ -411,6 +412,32 @@ class TestPartitionReuse:
             assert again.trace.added == fresh.trace.added
             witness = construct_witness(interp, again, params)
             assert check_bisimulation(witness, interp, again.reduced, features) == []
+
+    def test_run_started_by_a_listener_leaves_the_outer_run_intact(self):
+        # a listener that minimizes the same partition again, mid-run, must
+        # leave both results equal to sequential runs
+        cases = [
+            (twin_stars(), frozenset()),
+            (layered_cycles(), frozenset("I")),
+            (two_chains(), frozenset("O")),
+        ]
+        cases += [(interp, features) for interp, features, _ in random_cases(20, seed_base=1700)]
+        for interp, features in cases:
+            partition, _ = auto_partition(interp, features)
+            outer_params = MinimizeParams(features, ONE)
+            inner_params = MinimizeParams(features, D("0.3"))
+            inner = []
+
+            def listener(line):
+                if line.startswith("level") and not inner:
+                    inner.append(approximate_minimize(interp, inner_params, partition=partition))
+
+            outer = approximate_minimize(interp, outer_params, partition=partition, narrate=listener)
+            assert len(inner) == 1
+            for result, params in ((outer, outer_params), (inner[0], inner_params)):
+                fresh = approximate_minimize(interp, params)
+                assert facts(result.reduced) == facts(fresh.reduced)
+                assert result.trace == fresh.trace
 
 
 class TestWitnessFromTree:

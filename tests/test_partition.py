@@ -4,16 +4,13 @@ import pytest
 
 from fuzzymin import (
     build_compact_partition,
-    find_block,
-    flatten_and_find,
     greatest_auto_bisimulation,
     identity_relation,
     is_fuzzy_equivalence,
-    partition_to_equivalence,
     rst_closure,
-    set_repr_upward,
 )
 from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE
+from fuzzymin.minimize import _Run
 from instances import (
     SEVEN_POINT_RENDERED,
     TABLE_NAMES,
@@ -73,17 +70,17 @@ class TestBuild:
 class TestRoundTrip:
     def test_seven_point(self):
         phi = seven_point_equivalence()
-        assert partition_to_equivalence(build_compact_partition(phi)) == phi
+        assert build_compact_partition(phi).to_equivalence() == phi
 
     def test_single_crisp_block(self):
         n = 3
         rel = FuzzyRelation(n, n, {(i, j): ONE for i in range(n) for j in range(n)})
-        assert partition_to_equivalence(build_compact_partition(rel)) == rel
+        assert build_compact_partition(rel).to_equivalence() == rel
 
     def test_twin_stars_lca_degrees(self):
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
-        back = partition_to_equivalence(partition)
+        back = partition.to_equivalence()
         idx = {name: i for i, name in enumerate(names)}
         assert back.value(idx["v2"], idx["v3"]) == D("0.8")
         assert back.value(idx["v1"], idx["v3"]) == D("0.7")
@@ -93,7 +90,7 @@ class TestRoundTrip:
         rng = random.Random(17)
         for _ in range(200):
             phi = _random_equivalence(rng, rng.randint(1, 40), distinct=8)
-            assert partition_to_equivalence(build_compact_partition(phi)) == phi
+            assert build_compact_partition(phi).to_equivalence() == phi
 
 
 def _random_equivalence(rng, n, distinct=6):
@@ -105,19 +102,29 @@ def _random_equivalence(rng, n, distinct=6):
     return rst_closure(FuzzyRelation(n, n, entries))
 
 
+def _scan(partition, x, d):
+    """Linear scan of x's root path for the block with the least degree >= d."""
+    path = []
+    block = partition.leaf_of[x]
+    while block is not None:
+        path.append(block)
+        block = block.parent
+    return min((b for b in path if b.degree >= d), key=lambda b: b.degree.scaled)
+
+
 class TestFindBlock:
     def test_twin_star_lookups(self):
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
         idx = {name: i for i, name in enumerate(names)}
-        b = find_block(partition, idx["v3"], D("0.7"))
+        b = partition.find_block(idx["v3"], D("0.7"))
         assert b.degree == D("0.7")
         assert sorted(names[x] for x in partition.block_elements(b)) == [
             "v1", "v1'", "v2", "v2'", "v3"]
         # a full-strength query always lands on the crisp leaf
-        leaf = find_block(partition, idx["v3"], ONE)
+        leaf = partition.find_block(idx["v3"], ONE)
         assert leaf.is_crisp and partition.block_elements(leaf) == [idx["v3"]]
-        assert find_block(partition, idx["v1"], D("0.5")) is b
+        assert partition.find_block(idx["v1"], D("0.5")) is b
 
     def test_agrees_with_linear_scan(self):
         rng = random.Random(23)
@@ -126,92 +133,98 @@ class TestFindBlock:
             phi = _random_equivalence(rng, n)
             partition = build_compact_partition(phi)
             for x in range(n):
-                path = []
-                block = partition.leaf_of[x]
-                while block is not None:
-                    path.append(block)
-                    block = block.parent
                 for _ in range(5):
                     d = Degree.from_scaled(rng.randint(1, SCALE))
-                    best = min(
-                        (b for b in path if b.degree >= d),
-                        key=lambda b: b.degree.scaled,
-                    )
-                    assert find_block(partition, x, d) is best
+                    assert partition.find_block(x, d) is _scan(partition, x, d)
 
     def test_rejects_zero_threshold(self):
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
         with pytest.raises(ValueError):
-            find_block(partition, 0, D(0))
+            partition.find_block(0, D(0))
 
 
 class TestFlattening:
+    """The minimizer's run object: ``locate`` with non-increasing thresholds
+    against the read-only tree walk, ``claim`` against the first claim made
+    inside each block's subtree."""
+
     def test_flatten_matches_plain_find(self):
-        # same queries against a flattening and a non-flattening copy,
-        # issued with non-increasing thresholds
         rng = random.Random(31)
         for _ in range(30):
             n = rng.randint(2, 20)
             phi = _random_equivalence(rng, n)
-            p1 = build_compact_partition(phi)
-            p2 = build_compact_partition(phi)
+            partition = build_compact_partition(phi)
+            run = _Run(partition)
+            claims = []
             thresholds = sorted(
                 (Degree.from_scaled(rng.randint(1, SCALE)) for _ in range(8)),
                 reverse=True,
             )
             for d in thresholds:
                 x = rng.randrange(n)
-                plain = find_block(p1, x, d)
-                flat = flatten_and_find(p2, x, d)
-                assert plain.degree == flat.degree
-                assert sorted(p1.block_elements(plain)) == sorted(p2.block_elements(flat))
-                if plain.repr is None:
-                    set_repr_upward(p1, plain, x)
-                    set_repr_upward(p2, flat, x)
-                assert plain.repr == flat.repr
+                plain = partition.find_block(x, d)
+                flat = run.locate(x, d.scaled)
+                assert flat == plain.id == _scan(partition, x, d).id
+                if run.keeper[flat] < 0:
+                    run.claim(flat, x)
+                    claims.append((plain, x))
+                first = next(y for c, y in claims if plain.lo <= c.lo and c.hi <= plain.hi)
+                assert run.keeper[flat] == first
 
     def test_flattening_a_leaf_is_a_noop(self):
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
-        leaf = flatten_and_find(partition, 2, ONE)
-        assert leaf.is_crisp
-        assert flatten_and_find(partition, 2, ONE) is leaf
+        run = _Run(partition)
+        leaf = run.locate(2, SCALE)
+        assert run.blocks[leaf].is_crisp and leaf == partition.leaf_of[2].id
+        assert run.locate(2, SCALE) == leaf
 
     def test_repeated_calls_return_same_class(self):
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
         idx = {name: i for i, name in enumerate(names)}
-        first = flatten_and_find(partition, idx["v3"], D("0.7"))
-        second = flatten_and_find(partition, idx["v3"], D("0.7"))
-        assert first is second
+        run = _Run(partition)
+        first = run.locate(idx["v3"], D("0.7").scaled)
+        second = run.locate(idx["v3"], D("0.7").scaled)
+        assert first == second == partition.find_block(idx["v3"], D("0.7")).id
 
     def test_later_find_sees_flattened_class_and_repr(self):
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
         idx = {name: i for i, name in enumerate(names)}
-        block = flatten_and_find(partition, idx["v3"], D("0.7"))
-        set_repr_upward(partition, block, idx["v3"])
-        later = flatten_and_find(partition, idx["v2"], D("0.4"))
-        assert later is block
-        assert later.repr == idx["v3"]
+        run = _Run(partition)
+        block = run.locate(idx["v3"], D("0.7").scaled)
+        run.claim(block, idx["v3"])
+        later = run.locate(idx["v2"], D("0.4").scaled)
+        assert later == block == partition.find_block(idx["v2"], D("0.4")).id
+        assert run.keeper[later] == idx["v3"]
 
 
 class TestResetOverlay:
     def test_reset_restores_a_fresh_overlay(self):
+        # every run starts from fresh state, and a run leaves the shared tree
+        # and any other run's state as they were
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
         idx = {name: i for i, name in enumerate(names)}
-        block = flatten_and_find(partition, idx["v3"], D("0.7"))
-        set_repr_upward(partition, block, idx["v3"])
-        flatten_and_find(partition, idx["u"], D("0.4"))
-        partition.reset_overlay()
-        for b in partition.blocks():
-            assert partition.class_top(b) is b
-            assert (b.repr, b.absorbed, b.fully_flat) == (None, False, False)
+        outer = _Run(partition)
+        block = outer.locate(idx["v3"], D("0.7").scaled)
+        outer.claim(block, idx["v3"])
+        outer.locate(idx["u"], D("0.4").scaled)
+        outer_state = (list(outer.up), list(outer.keeper))
+        inner = _Run(partition)
+        assert inner.up == list(range(partition.block_count()))
+        assert inner.keeper == [-1] * partition.block_count()
+        inner.claim(inner.locate(idx["v2"], ONE.scaled), idx["v2"])
+        inner.locate(idx["u"], D("0.2").scaled)
+        assert (outer.up, outer.keeper) == outer_state
         fresh = build_compact_partition(Z, names)
+        assert partition.render() == fresh.render()
+        assert [(b.id, b.degree, b.lo, b.hi) for b in partition.blocks()] == [
+            (b.id, b.degree, b.lo, b.hi) for b in fresh.blocks()]
         for x in range(len(names)):
-            assert find_block(partition, x, D("0.7")).id == find_block(fresh, x, D("0.7")).id
+            assert _Run(partition).locate(x, D("0.7").scaled) == fresh.find_block(x, D("0.7")).id
 
 
 class TestReprPropagation:
@@ -219,26 +232,28 @@ class TestReprPropagation:
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
         idx = {name: i for i, name in enumerate(names)}
+        run = _Run(partition)
         leaf_u = partition.leaf_of[idx["u"]]
-        set_repr_upward(partition, leaf_u, idx["u"])
-        assert leaf_u.repr == idx["u"]
-        assert partition.root.repr == idx["u"]
+        run.claim(leaf_u.id, idx["u"])
+        assert run.keeper[leaf_u.id] == idx["u"]
+        assert run.keeper[partition.root.id] == idx["u"]
         # adding below a claimed root stops immediately above the new block
         leaf_v3 = partition.leaf_of[idx["v3"]]
-        set_repr_upward(partition, leaf_v3, idx["v3"])
-        assert leaf_v3.repr == idx["v3"]
-        assert leaf_v3.parent.repr == idx["v3"]
-        assert leaf_v3.parent.parent.repr == idx["v3"]
-        assert partition.root.repr == idx["u"]
+        run.claim(leaf_v3.id, idx["v3"])
+        assert run.keeper[leaf_v3.id] == idx["v3"]
+        assert run.keeper[leaf_v3.parent.id] == idx["v3"]
+        assert run.keeper[leaf_v3.parent.parent.id] == idx["v3"]
+        assert run.keeper[partition.root.id] == idx["u"]
 
     def test_fresh_tree_claims_whole_root_path(self):
         phi = seven_point_equivalence()
         partition = build_compact_partition(phi, TABLE_NAMES)
+        run = _Run(partition)
         leaf = partition.leaf_of[3]
-        set_repr_upward(partition, leaf, 3)
+        run.claim(leaf.id, 3)
         block = leaf
         while block is not None:
-            assert block.repr == 3
+            assert run.keeper[block.id] == 3
             block = block.parent
 
     def test_no_repr_below_unclaimed_ancestor(self):
@@ -247,10 +262,12 @@ class TestReprPropagation:
         rng = random.Random(41)
         phi = _random_equivalence(rng, 15)
         partition = build_compact_partition(phi)
+        run = _Run(partition)
         for x in (2, 7, 11):
-            block = find_block(partition, x, D("0.5"))
-            if block.repr is None:
-                set_repr_upward(partition, block, x)
+            block = run.locate(x, D("0.5").scaled)
+            assert block == partition.find_block(x, D("0.5")).id
+            if run.keeper[block] < 0:
+                run.claim(block, x)
         for block in partition.blocks():
-            if block.repr is not None and block.parent is not None:
-                assert block.parent.repr is not None
+            if run.keeper[block.id] >= 0 and block.parent is not None:
+                assert run.keeper[block.parent.id] >= 0
