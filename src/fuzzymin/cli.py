@@ -22,7 +22,7 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Degree
+from .core import Degree, FuzzyRelation, FuzzySet
 from .bisim import auto_partition, greatest_bisimulation
 from .concepts import eval_concept, parse_concept, ConceptParseError
 from .genbench import GeneratorParams, format_csv, format_table, generate, run_bench
@@ -30,7 +30,6 @@ from .minimize import MinimizeParams, approximate_minimize
 from .model import (
     FuzzyInterpretation,
     Signature,
-    make_interpretation,
     normalize_features,
     validate,
 )
@@ -44,36 +43,37 @@ def _fail(line_no: int, message: str) -> None:
     raise CliInputError(f"line {line_no}: {message}")
 
 
+# section order: each keyword may only appear at or after its stage
+_STAGE = {
+    keyword: stage
+    for stage, keyword in enumerate(
+        ("concepts", "roles", "individuals", "features", "domain", "ind", "concept", "role")
+    )
+}
+
+
 def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
-    """Parse the file format into a validated signature and interpretation."""
+    """Parse the file format into a validated signature and interpretation.
+
+    Each fact is checked once, on its own line, and stored under element
+    indices, so the interpretation is assembled without checking it again.
+    """
     concepts: Optional[List[str]] = None
     roles: Optional[List[str]] = None
     individuals: Optional[List[str]] = None
     features: List[str] = []
     domain: List[str] = []
-    domain_set: set = set()
-    ind_map: Dict[str, str] = {}
-    concept_facts: Dict[str, Dict[str, Degree]] = {}
-    role_facts: Dict[str, Dict[Tuple[str, str], Degree]] = {}
-    # section order: each keyword may only appear at or after its stage
-    order = ["concepts", "roles", "individuals", "features", "domain", "ind", "concept", "role"]
+    index: Dict[str, int] = {}
+    ind_map: Dict[str, int] = {}
+    concept_facts: Dict[str, Dict[int, Degree]] = {}
+    role_facts: Dict[str, Dict[Tuple[int, int], Degree]] = {}
     stage = 0
 
-    def advance(keyword: str, line_no: int) -> None:
-        nonlocal stage
-        target = order.index(keyword)
-        if target < stage:
-            _fail(line_no, f"section {keyword!r} appears out of order")
-        stage = target
-
-    # each distinct literal is parsed once; bad ones are never stored, so a
-    # repeat fails again on its own line
+    # each distinct literal is parsed once, on a miss in ``parsed``; bad ones
+    # are never stored, so a repeat fails again on its own line
     parsed: Dict[str, Degree] = {}
 
     def parse_degree(token: str, line_no: int) -> Degree:
-        deg = parsed.get(token)
-        if deg is not None:
-            return deg
         try:
             deg = Degree(token)
         except ValueError as exc:
@@ -89,71 +89,75 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
             continue
         tokens = line.split()
         keyword, args = tokens[0], tokens[1:]
+        target = _STAGE.get(keyword)
+        if target is None:
+            _fail(line_no, f"unknown section keyword {keyword!r}")
+        if target < stage:
+            _fail(line_no, f"section {keyword!r} appears out of order")
+        stage = target
         if keyword == "concepts":
-            advance(keyword, line_no)
             if concepts is not None:
                 _fail(line_no, "duplicate 'concepts' line")
             concepts = args
         elif keyword == "roles":
-            advance(keyword, line_no)
             if roles is not None:
                 _fail(line_no, "duplicate 'roles' line")
             roles = args
         elif keyword == "individuals":
-            advance(keyword, line_no)
             if individuals is not None:
                 _fail(line_no, "duplicate 'individuals' line")
             individuals = args
         elif keyword == "features":
-            advance(keyword, line_no)
             for f in args:
                 if f not in ("I", "O"):
                     _fail(line_no, f"unknown feature {f!r} (expected I or O)")
             features.extend(args)
         elif keyword == "domain":
-            advance(keyword, line_no)
+            index.update(zip(args, range(len(domain), len(domain) + len(args))))
             domain.extend(args)
-            domain_set.update(args)
         elif keyword == "ind":
-            advance(keyword, line_no)
             if len(args) != 2:
                 _fail(line_no, "expected: ind <individual> <element>")
             name, elem = args
             if individuals is None or name not in individuals:
                 _fail(line_no, f"unknown individual name {name!r}")
-            if elem not in domain_set:
+            if elem not in index:
                 _fail(line_no, f"unknown domain element {elem!r}")
             if name in ind_map:
                 _fail(line_no, f"duplicate assignment for individual {name!r}")
-            ind_map[name] = elem
+            ind_map[name] = index[elem]
         elif keyword == "concept":
-            advance(keyword, line_no)
             if len(args) != 3:
                 _fail(line_no, "expected: concept <name> <element> <degree>")
             cname, elem, dtext = args
-            if concepts is None or cname not in concepts:
-                _fail(line_no, f"unknown concept name {cname!r}")
-            if elem not in domain_set:
+            bucket = concept_facts.get(cname)
+            if bucket is None:
+                if concepts is None or cname not in concepts:
+                    _fail(line_no, f"unknown concept name {cname!r}")
+                bucket = concept_facts[cname] = {}
+            i = index.get(elem)
+            if i is None:
                 _fail(line_no, f"unknown domain element {elem!r}")
-            bucket = concept_facts.setdefault(cname, {})
-            if elem in bucket:
+            if i in bucket:
                 _fail(line_no, f"duplicate concept fact {cname} {elem}")
-            bucket[elem] = parse_degree(dtext, line_no)
+            deg = parsed.get(dtext)
+            bucket[i] = deg if deg is not None else parse_degree(dtext, line_no)
         elif keyword == "role":
-            advance(keyword, line_no)
             if len(args) != 4:
                 _fail(line_no, "expected: role <name> <source> <target> <degree>")
             rname, x, y, dtext = args
-            if roles is None or rname not in roles:
-                _fail(line_no, f"unknown role name {rname!r}")
-            if x not in domain_set or y not in domain_set:
+            bucket = role_facts.get(rname)
+            if bucket is None:
+                if roles is None or rname not in roles:
+                    _fail(line_no, f"unknown role name {rname!r}")
+                bucket = role_facts[rname] = {}
+            pair = index.get(x), index.get(y)
+            if None in pair:
                 _fail(line_no, f"unknown domain element in role fact {rname} {x} {y}")
-            bucket = role_facts.setdefault(rname, {})
-            if (x, y) in bucket:
+            if pair in bucket:
                 _fail(line_no, f"duplicate role fact {rname} {x} {y}")
-            bucket[x, y] = parse_degree(dtext, line_no)
-        else:
-            _fail(line_no, f"unknown section keyword {keyword!r}")
+            deg = parsed.get(dtext)
+            bucket[pair] = deg if deg is not None else parse_degree(dtext, line_no)
 
     if individuals is None:
         raise CliInputError("missing 'individuals' line")
@@ -164,9 +168,19 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
             tuple(concepts or ()), tuple(roles or ()), tuple(individuals),
             normalize_features(features),
         )
-        interp = make_interpretation(signature, domain, ind_map, concept_facts, role_facts)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
+    if len(index) != len(domain):
+        raise CliInputError("duplicate domain element names")
+    # every fact passed its line's checks: nonzero, in range and unique
+    n = len(domain)
+    interp = FuzzyInterpretation(
+        signature,
+        domain,
+        ind_map,
+        {c: FuzzySet._trusted(n, facts) for c, facts in concept_facts.items()},
+        {r: FuzzyRelation._trusted(n, n, facts) for r, facts in role_facts.items()},
+    )
     problems = validate(interp)
     if problems:
         raise CliInputError("; ".join(problems))

@@ -135,7 +135,8 @@ def inf_all(degrees: Iterable[Degree]) -> Degree:
 
 
 class FuzzySet:
-    """Sparse fuzzy subset of a finite indexed carrier; only positive entries stored."""
+    """Sparse fuzzy subset of a finite indexed carrier; only positive entries
+    stored.  The constructor checks every entry, ``_trusted`` none."""
 
     __slots__ = ("size", "_entries")
 
@@ -156,6 +157,15 @@ class FuzzySet:
                 raise ValueError(f"duplicate entry for element {key}")
             data[key] = deg
         self._entries = data
+
+    @classmethod
+    def _trusted(cls, size: int, entries: Dict[int, Degree]) -> "FuzzySet":
+        """Wrap entries that are valid by construction: nonzero ``Degree``s
+        keyed by indices inside the carrier.  Takes ownership of the dict."""
+        fset = cls.__new__(cls)
+        fset.size = size
+        fset._entries = entries
+        return fset
 
     def value(self, key: int) -> Degree:
         return self._entries.get(key, ZERO)
@@ -192,13 +202,14 @@ class FuzzySet:
 class FuzzyRelation:
     """Sparse fuzzy relation between two finite indexed carriers.
 
-    Keeps forward and inverse adjacency so that successors(x) and
-    predecessors(y) are cheap; the inverse index always mirrors the entries
-    of the inverse relation.  Relations are immutable, so the sorted degree
-    set is computed once, on first use.
+    Keeps each row's successors sorted by target, so successors(x) is cheap.
+    The constructor checks every entry; ``_trusted`` builds the same object
+    from entries that are valid by construction without checking them.
+    Relations are immutable, so the sorted degree set is computed once, on
+    first use.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_fwd", "_inv", "_degrees")
+    __slots__ = ("rows", "cols", "_entries", "_fwd", "_degrees")
 
     def __init__(
         self,
@@ -208,12 +219,8 @@ class FuzzyRelation:
     ):
         if rows < 0 or cols < 0:
             raise ValueError("carrier sizes must be non-negative")
-        self.rows = rows
-        self.cols = cols
         data: Dict[Tuple[int, int], Degree] = {}
         pairs = entries.items() if isinstance(entries, Mapping) else entries
-        fwd: Dict[int, list] = {}
-        inv: Dict[int, list] = {}
         for (i, j), deg in pairs:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"pair ({i},{j}) outside carrier {rows}x{cols}")
@@ -224,11 +231,25 @@ class FuzzyRelation:
             if (i, j) in data:
                 raise ValueError(f"duplicate entry for pair ({i},{j})")
             data[i, j] = deg
-            fwd.setdefault(i, []).append((j, deg))
-            inv.setdefault(j, []).append((i, deg))
+        self._build(rows, cols, data)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: Dict[Tuple[int, int], Degree]) -> "FuzzyRelation":
+        """Wrap entries that are valid by construction: nonzero ``Degree``s
+        keyed by pairs inside the carriers.  Takes ownership of the dict."""
+        rel = cls.__new__(cls)
+        rel._build(rows, cols, entries)
+        return rel
+
+    def _build(self, rows: int, cols: int, data: Dict[Tuple[int, int], Degree]) -> None:
+        """The row builder both constructors share."""
+        self.rows = rows
+        self.cols = cols
         self._entries = data
+        fwd: Dict[int, list] = {}
+        for (i, j), deg in data.items():
+            fwd.setdefault(i, []).append((j, deg))
         self._fwd = {i: tuple(sorted(v)) for i, v in fwd.items()}
-        self._inv = {j: tuple(sorted(v)) for j, v in inv.items()}
         self._degrees: Optional[Tuple[Degree, ...]] = None
 
     def value(self, i: int, j: int) -> Degree:
@@ -236,9 +257,6 @@ class FuzzyRelation:
 
     def successors(self, i: int) -> Tuple[Tuple[int, Degree], ...]:
         return self._fwd.get(i, ())
-
-    def predecessors(self, j: int) -> Tuple[Tuple[int, Degree], ...]:
-        return self._inv.get(j, ())
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Degree]]:
         return iter(sorted(self._entries.items()))
@@ -249,16 +267,13 @@ class FuzzyRelation:
     def sources(self) -> Tuple[int, ...]:
         return tuple(sorted(self._fwd))
 
-    def targets(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._inv))
-
     def degrees(self) -> Tuple[Degree, ...]:
         if self._degrees is None:
             self._degrees = tuple(sorted(set(self._entries.values())))
         return self._degrees
 
     def inverse(self) -> "FuzzyRelation":
-        return FuzzyRelation(self.cols, self.rows, {(j, i): d for (i, j), d in self._entries.items()})
+        return FuzzyRelation._trusted(self.cols, self.rows, {(j, i): d for (i, j), d in self._entries.items()})
 
     @property
     def is_square(self) -> bool:

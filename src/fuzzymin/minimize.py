@@ -273,7 +273,8 @@ def approximate_minimize(
                 if narrate is not None:
                     narrate(f"  set {role.name}({name(src)},{name(dst)}) := {d}")
 
-    # assemble the reduced interpretation, keeping original names and order
+    # assemble the reduced interpretation, keeping original names and order;
+    # every entry is a nonzero Degree under a distinct pair of kept elements
     kept_sorted = sorted(added_order)
     old_to_new = {x: i for i, x in enumerate(kept_sorted)}
     domain = [name(x) for x in kept_sorted]
@@ -288,7 +289,7 @@ def approximate_minimize(
             if not val.is_zero:
                 entries[old_to_new[x]] = val
         if entries:
-            concepts[cname] = FuzzySet(n1, entries)
+            concepts[cname] = FuzzySet._trusted(n1, entries)
 
     roles: Dict[str, FuzzyRelation] = {}
     for rname in sig.role_names:
@@ -296,7 +297,7 @@ def approximate_minimize(
         if not bucket:
             continue
         entries = {(old_to_new[x], old_to_new[y]): deg for (x, y), deg in bucket.items()}
-        roles[rname] = FuzzyRelation(n1, n1, entries)
+        roles[rname] = FuzzyRelation._trusted(n1, n1, entries)
 
     reduced = FuzzyInterpretation(
         sig,
@@ -353,4 +354,5 @@ def construct_witness(
             for v in order[block.lo:lo] + order[hi:block.hi]:
                 entries[v, new_idx] = d
             lo, hi, block = block.lo, block.hi, block.parent
-    return FuzzyRelation(interp.n, result.reduced.n, entries)
+    # d_y and every block degree walked are nonzero, so no entry is zero
+    return FuzzyRelation._trusted(interp.n, result.reduced.n, entries)

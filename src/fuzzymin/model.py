@@ -19,7 +19,9 @@ def normalize_features(features: Iterable[str] | None) -> frozenset:
 
 
 def _check_token(name: str, what: str) -> None:
-    if not name or any(ch.isspace() for ch in name):
+    # non-empty and free of whitespace: str.split splits on exactly the
+    # characters str.isspace accepts
+    if name.split() != [name]:
         raise ValueError(f"{what} must be a non-empty token without whitespace: {name!r}")
 
 
@@ -205,7 +207,7 @@ def validate(interp: FuzzyInterpretation) -> list:
     if len(set(interp.domain)) != len(interp.domain):
         out.append("duplicate domain element names")
     for name in interp.domain:
-        if not name or any(ch.isspace() for ch in name):
+        if name.split() != [name]:  # the token test of _check_token
             out.append(f"domain element name is not a whitespace-free token: {name!r}")
     for a in sig.individual_names:
         if a not in interp.individuals:

@@ -117,6 +117,41 @@ class TestFileFormat:
         with pytest.raises(CliInputError, match="^line 7: zero degree"):
             parse_interpretation("\n".join(both) + "\n")
 
+    # u is declared twice; the messages were recorded from the name-keyed parser
+    DUPLICATE_NAMES = (
+        "concepts A\nroles r\nindividuals a b\ndomain u v u\n"
+        "ind a u\nind b v\nconcept A v 0.5\nrole r u v 0.5\n"
+    )
+
+    @pytest.mark.parametrize("text, message", [
+        (DUPLICATE_NAMES, "duplicate domain element names"),
+        (DUPLICATE_NAMES.replace("domain u v u", "domain u v\ndomain u"),
+         "duplicate domain element names"),
+        (DUPLICATE_NAMES.replace("ind b v\n", ""), "duplicate domain element names"),
+        (DUPLICATE_NAMES + "role r u w 0.5\n", "line 9: unknown domain element in role fact r u w"),
+        (DUPLICATE_NAMES + "role r v u 0\n",
+         "line 9: zero degree: omit the fact instead of writing degree 0"),
+        (DUPLICATE_NAMES + "role r u v 0.5\n", "line 9: duplicate role fact r u v"),
+        (DUPLICATE_NAMES + "domain x\n", "line 9: section 'domain' appears out of order"),
+        (DUPLICATE_NAMES.replace("individuals a b", "individuals"),
+         "line 5: unknown individual name 'a'"),
+        (DUPLICATE_NAMES.replace("concepts A", "concepts A A"),
+         "name 'A' used as both concept and concept"),
+        (DUPLICATE_NAMES.replace("roles r", "roles r A"), "name 'A' used as both concept and role"),
+        ("concepts A\nroles r\nindividuals\ndomain u u\n", "at least one individual name is required"),
+        ("concepts A\nroles r\nindividuals a\ndomain u u\nind a u\n"
+         "concept A u 0.5\nconcept A u 0.7\n", "line 7: duplicate concept fact A u"),
+    ], ids=[
+        "duplicate-only", "across-domain-lines", "before-missing-assignment", "bad-element-line",
+        "zero-degree-line", "duplicate-fact-line", "out-of-order-line", "no-individual-names",
+        "signature-declared-twice", "signature-cross-kind", "signature-no-individuals",
+        "duplicate-fact-on-duplicate-name",
+    ])
+    def test_duplicate_domain_names_come_after_line_and_signature_errors(self, text, message):
+        with pytest.raises(CliInputError) as info:
+            parse_interpretation(text)
+        assert str(info.value) == message
+
     def test_generated_instances_round_trip(self):
         from fuzzymin.genbench import GeneratorParams, generate
         interp = generate(GeneratorParams(

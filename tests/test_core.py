@@ -101,6 +101,36 @@ class TestFuzzySet:
         assert s.value(1) == ZERO
         assert s.value(2) == D("0.3")
 
+    def test_rejects_out_of_range_and_duplicate_entries(self):
+        for key in (-1, 3):
+            with pytest.raises(ValueError, match="outside carrier"):
+                FuzzySet(3, {key: D("0.5")})
+        with pytest.raises(ValueError, match="duplicate entry for element 1"):
+            FuzzySet(3, [(1, D("0.5")), (1, D("0.3"))])
+
+
+class TestFuzzyRelation:
+    def test_rejects_out_of_range_pairs(self):
+        for pair in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="outside carrier 2x3"):
+                FuzzyRelation(2, 3, {pair: D("0.5")})
+
+    def test_rejects_zero_entries(self):
+        for zero in (ZERO, 0, "0"):
+            with pytest.raises(ValueError, match="zero entries must be omitted"):
+                FuzzyRelation(2, 2, {(0, 1): zero})
+
+    def test_rejects_duplicate_pairs(self):
+        with pytest.raises(ValueError, match=r"duplicate entry for pair \(0,1\)"):
+            FuzzyRelation(2, 2, [((0, 1), D("0.5")), ((0, 1), D("0.5"))])
+
+    def test_successors_are_sorted_by_target(self):
+        rel = FuzzyRelation(3, 3, {(0, 2): D("0.5"), (1, 0): ONE, (0, 0): D("0.3")})
+        assert rel.successors(0) == ((0, D("0.3")), (2, D("0.5")))
+        assert rel.successors(2) == ()
+        assert rel.sources() == (0, 1)
+        assert rel.inverse() == FuzzyRelation(3, 3, {(2, 0): D("0.5"), (0, 1): ONE, (0, 0): D("0.3")})
+
 
 class TestCompose:
     def test_single_path(self):

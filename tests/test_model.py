@@ -67,6 +67,33 @@ class TestValidate:
         assert any("B" in p for p in validate(broken))
 
 
+class TestTokenCheck:
+    """The token test in ``Signature`` and ``validate`` agrees with the
+    per-character ``isspace`` scan it replaced."""
+
+    NAMES = (
+        "", " ", "u", "u'", "\u00e9", "u\u200bv",  # zero-width space is not whitespace
+        " u", "u ", "u v", "u\tv", "u\nv",
+        *(f"{c}u" for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028"),
+        *(f"u{c}" for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028"),
+        *(f"u{c}v" for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028"),
+    )
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_split_form_matches_isspace_form(self, name):
+        bad = not name or any(ch.isspace() for ch in name)
+        assert (name.split() != [name]) == bad
+        interp = FuzzyInterpretation(
+            Signature(("A",), ("r",), ("a",)), ["x", name], {"a": 0}, {}, {}
+        )
+        assert any("whitespace-free token" in p for p in validate(interp)) == bad
+        if bad:
+            with pytest.raises(ValueError, match="non-empty token without whitespace"):
+                Signature((name,), ("r",), ("a",))
+        else:
+            Signature((name,), ("r",), ("a",))
+
+
 class TestSizeStats:
     def test_twin_stars_counts(self):
         stats = size_stats(twin_stars())
