@@ -55,14 +55,6 @@ class FuzzyLabeledGraph:
         got = self.labels.get(token)
         return got.value(v) if got is not None else ZERO
 
-    def label_of(self, v: int) -> Dict[str, Degree]:
-        out = {}
-        for token in self.vertex_labels:
-            d = self.vertex_label(v, token)
-            if not d.is_zero:
-                out[token] = d
-        return out
-
 
 def to_fuzzy_graph(interp: FuzzyInterpretation, features: Iterable[str] | None) -> FuzzyLabeledGraph:
     """Encode an interpretation as a fuzzy labeled graph.

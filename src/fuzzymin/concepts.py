@@ -3,7 +3,9 @@ evaluator, assertion checking and random sampling.
 
 The evaluator is the package's verification oracle: preservation claims about
 a minimization are checked by sampling expressions and comparing their values
-at the named individuals.
+at the named individuals.  It is sparse and exact: a concept's value is a list
+of n scaled degrees, a role's value n successor rows (``core.ScaledRows``), so
+``exists`` and ``forall`` cost O(n + m) and ``*`` is a widest-path search.
 
 Grammar (role operators bind ``*`` > ``?`` > ``;`` > ``|``; ``->`` is lowest
 and right-associative):
@@ -25,15 +27,15 @@ and right-associative):
 
 from __future__ import annotations
 
+import heapq
 import operator
 import random
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from .core import Degree, FuzzyRelation, FuzzySet, ONE, SCALE, ZERO, biresiduum
+from .core import Degree, FuzzyRelation, FuzzySet, ONE, SCALE, ScaledRows, biresiduum
+from .core import _from_scaled_rows, _maxmin_rows, _to_scaled_rows
 from .model import FuzzyInterpretation, Signature, normalize_features
 
 
@@ -423,114 +425,101 @@ def _print_role(node: Role, required: int) -> str:
 # --------------------------------------------------------------------------
 
 
-def _maxmin_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n <= 128:
-        return np.minimum(a[:, :, None], b[None, :, :]).max(axis=1)
-    out = np.empty_like(a)
-    step = max(1, (1 << 22) // max(1, n * n)) or 1
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        out[lo:hi] = np.minimum(a[lo:hi, :, None], b[None, :, :]).max(axis=1)
-    return out
+def _widest_paths(rows: ScaledRows, source: int) -> Dict[int, int]:
+    """Row ``source`` of the reflexive-transitive closure: each reachable
+    target with the largest, over paths, of the smallest degree on the path."""
+    best = {source: SCALE}
+    heap = [(-SCALE, source)]
+    while heap:
+        width, x = heapq.heappop(heap)
+        width = -width
+        if width < best[x]:
+            continue  # x was reached more widely after this entry was pushed
+        for y, d in rows[x].items():
+            w = d if d < width else width
+            if best.get(y, 0) < w:
+                best[y] = w
+                heapq.heappush(heap, (-w, y))
+    return best
 
 
-def _concept_vector(fset: FuzzySet, n: int) -> np.ndarray:
-    vec = np.zeros(n, dtype=np.int64)
-    for k, d in fset.items():
-        vec[k] = d.scaled
-    return vec
-
-
-def _role_matrix(rel: FuzzyRelation, n: int) -> np.ndarray:
-    mat = np.zeros((n, n), dtype=np.int64)
-    for (i, j), d in rel.items():
-        mat[i, j] = d.scaled
-    return mat
-
-
-def _eval_role_arr(node: Role, interp: FuzzyInterpretation, cache: Dict) -> np.ndarray:
-    key = ("role", node)
-    got = cache.get(key)
+def _role_rows(node: Role, interp: FuzzyInterpretation, memo: Dict) -> ScaledRows:
+    got = memo.get(node)
     if got is not None:
         return got
-    n = interp.n
     if isinstance(node, RoleName):
-        out = _role_matrix(interp.role_relation(node.name), n)
+        out = _to_scaled_rows(interp.role_relation(node.name))
     elif isinstance(node, RoleUnion):
-        out = np.maximum(_eval_role_arr(node.left, interp, cache), _eval_role_arr(node.right, interp, cache))
+        out = []
+        for left, right in zip(_role_rows(node.left, interp, memo), _role_rows(node.right, interp, memo)):
+            row = dict(left)
+            for j, d in right.items():
+                if row.get(j, 0) < d:
+                    row[j] = d
+            out.append(row)
     elif isinstance(node, RoleCompose):
-        out = _maxmin_product(_eval_role_arr(node.left, interp, cache), _eval_role_arr(node.right, interp, cache))
+        out = _maxmin_rows(_role_rows(node.left, interp, memo), _role_rows(node.right, interp, memo))
     elif isinstance(node, RoleStar):
-        m = _eval_role_arr(node.inner, interp, cache)
-        out = m.copy()
-        idx = np.arange(n)
-        out[idx, idx] = SCALE  # zero-length paths
-        while True:
-            squared = np.maximum(out, _maxmin_product(out, out))
-            if np.array_equal(squared, out):
-                break
-            out = squared
+        inner = _role_rows(node.inner, interp, memo)
+        out = [_widest_paths(inner, x) for x in range(interp.n)]
     elif isinstance(node, RoleTest):
-        vec = _eval_concept_arr(node.concept, interp, cache)
-        out = np.zeros((n, n), dtype=np.int64)
-        out[np.arange(n), np.arange(n)] = vec
+        out = [{x: v} if v else {} for x, v in enumerate(_concept_values(node.concept, interp, memo))]
     elif isinstance(node, RoleInverse):
-        out = _eval_role_arr(node.inner, interp, cache).T.copy()
+        out = [{} for _ in range(interp.n)]
+        for i, row in enumerate(_role_rows(node.inner, interp, memo)):
+            for j, d in row.items():
+                out[j][i] = d
     else:
         raise TypeError(f"not a role node: {node!r}")
-    cache[key] = out
+    memo[node] = out
     return out
 
 
-def _eval_concept_arr(node: Concept, interp: FuzzyInterpretation, cache: Dict) -> np.ndarray:
-    key = ("concept", node)
-    got = cache.get(key)
+def _concept_values(node: Concept, interp: FuzzyInterpretation, memo: Dict) -> List[int]:
+    got = memo.get(node)
     if got is not None:
         return got
     n = interp.n
     if isinstance(node, Constant):
-        out = np.full(n, node.degree.scaled, dtype=np.int64)
+        out = [node.degree.scaled] * n
     elif isinstance(node, ConceptName):
-        out = _concept_vector(interp.concept_set(node.name), n)
+        out = [0] * n
+        for x, d in interp.concept_set(node.name).items():
+            out[x] = d.scaled
     elif isinstance(node, Nominal):
-        out = np.zeros(n, dtype=np.int64)
+        out = [0] * n
         out[interp.individual_element(node.name)] = SCALE
     elif isinstance(node, Or):
-        out = np.maximum(_eval_concept_arr(node.left, interp, cache), _eval_concept_arr(node.right, interp, cache))
+        out = list(map(max, _concept_values(node.left, interp, memo), _concept_values(node.right, interp, memo)))
     elif isinstance(node, And):
-        out = np.minimum(_eval_concept_arr(node.left, interp, cache), _eval_concept_arr(node.right, interp, cache))
+        out = list(map(min, _concept_values(node.left, interp, memo), _concept_values(node.right, interp, memo)))
     elif isinstance(node, Implies):
-        a = _eval_concept_arr(node.left, interp, cache)
-        b = _eval_concept_arr(node.right, interp, cache)
-        out = np.where(a <= b, np.int64(SCALE), b)
+        a = _concept_values(node.left, interp, memo)
+        b = _concept_values(node.right, interp, memo)
+        out = [SCALE if x <= y else y for x, y in zip(a, b)]
     elif isinstance(node, Exists):
-        r = _eval_role_arr(node.role, interp, cache)
-        c = _eval_concept_arr(node.body, interp, cache)
-        out = np.minimum(r, c[None, :]).max(axis=1) if n else np.zeros(0, dtype=np.int64)
+        rows = _role_rows(node.role, interp, memo)
+        c = _concept_values(node.body, interp, memo)
+        # a missing successor has degree 0 and adds 0 to the supremum
+        out = [max([d if d < c[y] else c[y] for y, d in row.items()], default=0) for row in rows]
     elif isinstance(node, Forall):
-        r = _eval_role_arr(node.role, interp, cache)
-        c = _eval_concept_arr(node.body, interp, cache)
-        residuated = np.where(r <= c[None, :], np.int64(SCALE), np.broadcast_to(c[None, :], r.shape))
-        out = residuated.min(axis=1) if n else np.zeros(0, dtype=np.int64)
+        rows = _role_rows(node.role, interp, memo)
+        c = _concept_values(node.body, interp, memo)
+        # a missing successor has degree 0 and adds 1 (= 0 => c) to the infimum
+        out = [min([SCALE if d <= c[y] else c[y] for y, d in row.items()], default=SCALE) for row in rows]
     else:
         raise TypeError(f"not a concept node: {node!r}")
-    cache[key] = out
+    memo[node] = out
     return out
 
 
 def eval_role(node: Role, interp: FuzzyInterpretation) -> FuzzyRelation:
-    mat = _eval_role_arr(node, interp, {})
-    entries = {}
-    for i, j in zip(*np.nonzero(mat)):
-        entries[int(i), int(j)] = Degree.from_scaled(int(mat[i, j]))
-    return FuzzyRelation(interp.n, interp.n, entries)
+    return _from_scaled_rows(_role_rows(node, interp, {}), interp.n)
 
 
 def eval_concept(node: Concept, interp: FuzzyInterpretation) -> FuzzySet:
-    vec = _eval_concept_arr(node, interp, {})
-    entries = {int(i): Degree.from_scaled(int(vec[i])) for i in np.flatnonzero(vec)}
-    return FuzzySet(interp.n, entries)
+    values = _concept_values(node, interp, {})
+    return FuzzySet._trusted(interp.n, {x: Degree.from_scaled(v) for x, v in enumerate(values) if v})
 
 
 # --------------------------------------------------------------------------
@@ -580,15 +569,13 @@ FuzzyAssertion = Union[ConceptAssertion, RoleAssertion, SameIndividual, Distinct
 def check_assertion(interp: FuzzyInterpretation, assertion: FuzzyAssertion) -> bool:
     if isinstance(assertion, ConceptAssertion):
         cmp = _COMPARATORS[assertion.relation]
-        vec = _eval_concept_arr(assertion.concept, interp, {})
-        value = Degree.from_scaled(int(vec[interp.individual_element(assertion.individual)]))
+        values = _concept_values(assertion.concept, interp, {})
+        value = Degree.from_scaled(values[interp.individual_element(assertion.individual)])
         return cmp(value, assertion.degree)
     if isinstance(assertion, RoleAssertion):
         cmp = _COMPARATORS[assertion.relation]
-        mat = _eval_role_arr(assertion.role, interp, {})
-        value = Degree.from_scaled(
-            int(mat[interp.individual_element(assertion.subject), interp.individual_element(assertion.target)])
-        )
+        row = _role_rows(assertion.role, interp, {})[interp.individual_element(assertion.subject)]
+        value = Degree.from_scaled(row.get(interp.individual_element(assertion.target), 0))
         return cmp(value, assertion.degree)
     if isinstance(assertion, SameIndividual):
         return interp.individual_element(assertion.left) == interp.individual_element(assertion.right)
@@ -743,11 +730,11 @@ def preservation_report(
     report = PreservationReport(samples=samples, depth=depth, gamma=gamma, min_agreement=ONE)
     for _ in range(samples):
         concept = random_concept(sig, features, FULL_FRAGMENT, depth, rng, pool)
-        v1 = _eval_concept_arr(concept, interp1, {})
-        v2 = _eval_concept_arr(concept, interp2, {})
+        v1 = _concept_values(concept, interp1, {})
+        v2 = _concept_values(concept, interp2, {})
         for a in sig.individual_names:
-            left = Degree.from_scaled(int(v1[interp1.individual_element(a)]))
-            right = Degree.from_scaled(int(v2[interp2.individual_element(a)]))
+            left = Degree.from_scaled(v1[interp1.individual_element(a)])
+            right = Degree.from_scaled(v2[interp2.individual_element(a)])
             agreement = biresiduum(left, right)
             if agreement < report.min_agreement:
                 report.min_agreement = agreement

@@ -9,9 +9,7 @@ point ever enters the algebra.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 SCALE = 10 ** 9
 
@@ -307,49 +305,71 @@ def identity_relation(n: int) -> FuzzyRelation:
     return FuzzyRelation(n, n, {(i, i): ONE for i in range(n)})
 
 
+# A relation as successor rows of scaled degrees: row i maps each target j of
+# a positive entry to its scaled degree.  The concept evaluator computes on it.
+ScaledRows = List[Dict[int, int]]
+
+
+def _to_scaled_rows(phi: FuzzyRelation) -> ScaledRows:
+    return [{j: d.scaled for j, d in phi.successors(i)} for i in range(phi.rows)]
+
+
+def _from_scaled_rows(rows: ScaledRows, cols: int) -> FuzzyRelation:
+    return FuzzyRelation._trusted(len(rows), cols, {
+        (i, j): Degree.from_scaled(d) for i, row in enumerate(rows) for j, d in row.items()})
+
+
+def _maxmin_rows(left: ScaledRows, right: ScaledRows) -> ScaledRows:
+    """Max-min product of two relations in row form, O(sum over entries (i, k)
+    of left of the length of right's row k)."""
+    out = []
+    for row in left:
+        best: Dict[int, int] = {}
+        for k, d1 in row.items():
+            for j, d2 in right[k].items():
+                d = d1 if d1 <= d2 else d2
+                if best.get(j, 0) < d:
+                    best[j] = d
+        out.append(best)
+    return out
+
+
 def compose(phi: FuzzyRelation, psi: FuzzyRelation) -> FuzzyRelation:
     """Max-min composition of two fuzzy relations."""
     if phi.cols != psi.rows:
         raise ValueError(f"composition dimension mismatch: {phi.cols} vs {psi.rows}")
-    best: Dict[Tuple[int, int], Degree] = {}
-    for (i, k), d1 in phi._entries.items():
-        for j, d2 in psi.successors(k):
-            d = d1 if d1 <= d2 else d2
-            key = (i, j)
-            if key not in best or best[key] < d:
-                best[key] = d
-    return FuzzyRelation(phi.rows, psi.cols, best)
-
-
-def _to_scaled_matrix(phi: FuzzyRelation) -> np.ndarray:
-    m = np.zeros((phi.rows, phi.cols), dtype=np.int64)
-    for (i, j), d in phi._entries.items():
-        m[i, j] = d.scaled
-    return m
-
-
-def _from_scaled_matrix(m: np.ndarray) -> FuzzyRelation:
-    entries = {}
-    for i, j in zip(*np.nonzero(m)):
-        entries[int(i), int(j)] = Degree.from_scaled(int(m[i, j]))
-    return FuzzyRelation(m.shape[0], m.shape[1], entries)
+    return _from_scaled_rows(_maxmin_rows(_to_scaled_rows(phi), _to_scaled_rows(psi)), psi.cols)
 
 
 def rst_closure(phi: FuzzyRelation) -> FuzzyRelation:
     """Reflexive-symmetric-min-transitive closure of a square fuzzy relation.
 
-    All-pairs max-min relaxation; cubic, only used on input-construction
-    relations, never inside the minimizer.
+    Kruskal in descending degree order: the entries, read as undirected
+    edges, join components, and when two components first meet at degree d
+    every pair across them gets d (the widest path between them); the
+    diagonal is 1.  O(m log m) plus the size of the output.
     """
     if not phi.is_square:
         raise ValueError("closure requires a square relation")
     n = phi.rows
-    m = _to_scaled_matrix(phi)
-    m = np.maximum(m, m.T)
-    np.fill_diagonal(m, SCALE)
-    for k in range(n):
-        np.maximum(m, np.minimum(m[:, k][:, None], m[k, :][None, :]), out=m)
-    return _from_scaled_matrix(m)
+    entries: Dict[Tuple[int, int], Degree] = {(i, i): ONE for i in range(n)}
+    component = list(range(n))
+    members = [[i] for i in range(n)]
+    for (i, j), d in sorted(phi._entries.items(), key=lambda item: item[1].scaled, reverse=True):
+        a, b = component[i], component[j]
+        if a == b:
+            continue
+        if len(members[a]) < len(members[b]):
+            a, b = b, a
+        for x in members[a]:
+            for y in members[b]:
+                entries[x, y] = d
+                entries[y, x] = d
+        for y in members[b]:
+            component[y] = a
+        members[a] += members[b]
+        members[b] = []
+    return FuzzyRelation._trusted(n, n, entries)
 
 
 def is_fuzzy_equivalence(phi: FuzzyRelation) -> bool:

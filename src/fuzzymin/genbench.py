@@ -84,20 +84,13 @@ def degree_palette(l: int) -> List[Degree]:
 
 
 def _decode_acyclic_pair(q: int, n: int) -> Tuple[int, int]:
-    # pairs (i, j) with i < j in lexicographic order; F(i) pairs precede row i
-    def before(i: int) -> int:
-        return i * (n - 1) - i * (i - 1) // 2
-
-    lo, hi = 0, n - 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if before(mid) <= q:
-            lo = mid
-        else:
-            hi = mid
-    i = lo if before(hi) > q else hi
-    j = i + 1 + (q - before(i))
-    return i, j
+    # pairs (i, j) with i < j in lexicographic order; row i starts at
+    # F(i) = (b*i - i*i) / 2 with b = 2n - 1, so i is the largest integer with
+    # F(i) <= q: the floor of the smaller root (b - sqrt(d)) / 2, d = b*b - 8q
+    b = 2 * n - 1
+    s = math.isqrt(b * b - 8 * q - 1) + 1  # ceil(sqrt(d)), as d >= 1
+    i = (b - s) // 2
+    return i, i + 1 + q - (b * i - i * i) // 2
 
 
 def generate(params: GeneratorParams) -> FuzzyInterpretation:

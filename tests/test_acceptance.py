@@ -20,7 +20,6 @@ from fuzzymin import (
 )
 from fuzzymin.bisim import auto_partition
 from fuzzymin.concepts import (
-    _eval_concept_arr,
     eval_concept,
     interpretation_degree_pool,
     parse_concept,
@@ -305,10 +304,9 @@ def test_criterion_6_sampling_roundtrip_order_independence():
             pool = interpretation_degree_pool(interp)
             for _ in range(200):
                 concept = random_concept(interp.signature, features, "full", 4, rng, pool)
-                values = _eval_concept_arr(concept, interp, {})
+                values = eval_concept(concept, interp)
                 for (x, y), z in Z.items():
-                    bound = biresiduum(
-                        D.from_scaled(int(values[x])), D.from_scaled(int(values[y])))
+                    bound = biresiduum(values.value(x), values.value(y))
                     assert z <= bound
 
         # 200 random equivalence round-trips, n <= 40

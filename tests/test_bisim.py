@@ -20,7 +20,7 @@ from fuzzymin import (
 )
 from fuzzymin.bisim import _flatten, _refine
 from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, ZERO, biresiduum
-from fuzzymin.concepts import _eval_concept_arr, interpretation_degree_pool, random_concept
+from fuzzymin.concepts import eval_concept, interpretation_degree_pool, random_concept
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize, construct_witness
 from instances import alternating_chain, layered_cycles, twin_stars, two_chains
@@ -359,11 +359,9 @@ class TestTheoremSampling:
             for _ in range(200):
                 concept = random_concept(
                     interp.signature, features, "full", 4, rng, pool)
-                values = _eval_concept_arr(concept, interp, {})
+                values = eval_concept(concept, interp)
                 for (x, y), z in Z.items():
-                    left = Degree.from_scaled(int(values[x]))
-                    right = Degree.from_scaled(int(values[y]))
-                    assert z <= biresiduum(left, right)
+                    assert z <= biresiduum(values.value(x), values.value(y))
 
     def test_restricted_fragment_sampling_upper_bounds(self):
         # sampled infima over the restricted fragment sit above the computed
@@ -377,13 +375,10 @@ class TestTheoremSampling:
             pool = interpretation_degree_pool(interp)
             for _ in range(400):
                 concept = random_concept(interp.signature, frozenset(), "L0", 3, rng, pool)
-                values = _eval_concept_arr(concept, interp, {})
+                values = eval_concept(concept, interp)
                 for x in range(n):
                     for y in range(n):
-                        b = biresiduum(
-                            Degree.from_scaled(int(values[x])),
-                            Degree.from_scaled(int(values[y])),
-                        )
+                        b = biresiduum(values.value(x), values.value(y))
                         if b < best[x][y]:
                             best[x][y] = b
             for x in range(n):

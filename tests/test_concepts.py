@@ -1,6 +1,8 @@
 import random
+from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzymin import Signature, identity_relation, make_interpretation
 from fuzzymin.concepts import (
@@ -20,6 +22,7 @@ from fuzzymin.concepts import (
     Or,
     RoleCompose,
     RoleInverse,
+    RoleAssertion,
     RoleName,
     RoleStar,
     RoleTest,
@@ -39,7 +42,9 @@ from fuzzymin.concepts import (
 )
 from fuzzymin.core import Degree, ONE, SCALE, ZERO
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
+from dense_reference import concept_vector, role_matrix
 from instances import layered_cycles, research_network, twin_stars, two_chains
+from strategies import feature_sets, interpretations
 
 D = Degree
 
@@ -223,6 +228,25 @@ class TestAssertions:
         assert check_assertion(reduced, SameIndividual("a", "b"))
         assert check_assertion(interp, DistinctIndividual("a", "b"))
 
+    def test_role_assertion_on_a_star(self):
+        interp = research_network()
+        star = parse_role("collaboratesWith*", interp.signature)
+        # (subject, target, degree) -> (holds under >=, holds under >)
+        expected = {
+            ("linh", "mirek", "0.3"): (True, False),
+            ("linh", "mirek", "0.5"): (False, False),
+            ("mirek", "stefan", "0.5"): (True, False),
+            ("stefan", "mirek", "0.5"): (True, True),
+            ("stefan", "mirek", "0.6"): (True, False),
+            ("linh", "linh", "0.6"): (True, True),
+            ("linh", "linh", "1"): (True, False),
+        }
+        for (subject, target, degree), want in expected.items():
+            got = tuple(
+                check_assertion(interp, RoleAssertion(star, subject, target, relation, D(degree)))
+                for relation in (">=", ">"))
+            assert got == want, (subject, target, degree)
+
     def test_role_assertion_and_abox(self):
         interp = layered_cycles()
         abox = [
@@ -289,3 +313,31 @@ class TestPreservationReport:
         report = preservation_report(one, other, frozenset(), ONE, 200, 2, seed=11)
         assert not report.holds
         assert report.min_agreement <= D("0.4")
+
+
+def _subterms(node):
+    yield node
+    for f in fields(node):
+        child = getattr(node, f.name)
+        if is_dataclass(child):
+            yield from _subterms(child)
+
+
+class TestDenseReference:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(interpretations(), feature_sets, st.sampled_from((FULL_FRAGMENT, L0_FRAGMENT)),
+           st.integers(0, 2 ** 32))
+    def test_sparse_evaluator_matches_dense_reference(self, interp, features, fragment, seed):
+        rng = random.Random(seed)
+        pool = interpretation_degree_pool(interp)
+        n = interp.n
+        for _ in range(4):
+            concept = random_concept(interp.signature, features, fragment, 4, rng, pool)
+            cache = {}
+            values = eval_concept(concept, interp)
+            assert [values.value(x).scaled for x in range(n)] == concept_vector(concept, interp, cache)
+            for node in _subterms(concept):
+                if isinstance(node, (RoleName, RoleUnion, RoleCompose, RoleStar, RoleTest, RoleInverse)):
+                    rel = eval_role(node, interp)
+                    got = [[rel.value(i, j).scaled for j in range(n)] for i in range(n)]
+                    assert got == role_matrix(node, interp, cache), role_to_text(node)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from fuzzymin.core import (
     rst_closure,
     tnorm,
 )
+from dense_reference import rst_closure_reference
 from instances import seven_point_equivalence
 
 D = Degree
@@ -195,9 +199,30 @@ class TestClosure:
             phi = _random_square(rng, rng.randint(1, 30))
             assert is_fuzzy_equivalence(rst_closure(phi))
 
+    def test_matches_all_pairs_relaxation(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            phi = _random_square(rng, rng.randint(0, 20))
+            assert rst_closure(phi) == rst_closure_reference(phi)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             rst_closure(FuzzyRelation(2, 3))
+
+
+def test_package_imports_only_the_standard_library():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import fuzzymin\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'fuzzymin'}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestIsFuzzyEquivalence:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from fuzzymin import validate
@@ -6,6 +8,7 @@ from fuzzymin.core import Degree, ONE
 from fuzzymin.genbench import (
     BenchRow,
     GeneratorParams,
+    _decode_acyclic_pair,
     degree_palette,
     format_csv,
     format_table,
@@ -61,6 +64,11 @@ class TestGenerate:
         for rel in interp.roles.values():
             for (x, y), _ in rel.items():
                 assert x < y
+
+    def test_acyclic_pair_decoding_is_lexicographic(self):
+        for n in range(2, 61):
+            pairs = list(combinations(range(n), 2))
+            assert [_decode_acyclic_pair(q, n) for q in range(len(pairs))] == pairs
 
     def test_cyclic_allows_self_loops_eventually(self):
         found = False
