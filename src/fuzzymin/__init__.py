@@ -27,17 +27,14 @@ from .model import (
     size_stats,
     validate,
 )
-from .partition import (
-    Block,
-    CompactFuzzyPartition,
-    build_compact_partition,
-)
+from .partition import Block, CompactFuzzyPartition
 from .bisim import (
     BisimResult,
     BisimViolation,
     FuzzyLabeledGraph,
     auto_partition,
     bisimilarity_degree,
+    build_compact_partition,
     check_bisimulation,
     greatest_auto_bisimulation,
     greatest_bisimulation,

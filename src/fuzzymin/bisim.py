@@ -15,6 +15,12 @@ bound").  That chain of partitions is the compact fuzzy partition; no n x n
 matrix is built.  The greatest bisimulation between two interpretations is
 the auto-bisimulation of their disjoint union, restricted to the pairs
 across the two.
+
+A fuzzy equivalence phi is the greatest auto-bisimulation of the edgeless
+graph that labels each x with token y at degree phi(x, y), so the engine
+builds phi's tree too: Z(x, x') <= (phi(x, x) <=> phi(x', x)) = phi(x, x'),
+and where phi(x, y) != phi(x', y), min-transitivity forces
+min(phi(x, y), phi(x', y)) >= phi(x, x'), so Z >= phi.
 """
 
 from __future__ import annotations
@@ -241,6 +247,26 @@ def auto_partition(
     the number of signature rounds it took."""
     levels, cuts, rounds = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
     return partition_from_cuts(levels, cuts, interp.domain), rounds
+
+
+def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = None) -> CompactFuzzyPartition:
+    """Block tree of a fuzzy equivalence given as a sparse relation, built by
+    the engine from phi's rows (see the module docstring).  On any other
+    relation the engine's tree is still an equivalence, but not phi, so phi
+    is rejected unless the tree gives it back; the support sizes are compared
+    first, so a sparse non-equivalence is never expanded to n x n."""
+    if not phi.is_square:
+        raise ValueError("a fuzzy equivalence must be square")
+    n = phi.rows
+    labels = [[(y, d.scaled) for y, d in phi.successors(x)] for x in range(n)]
+    levels, cuts, _ = _refine(labels, [()] * n, 0)  # no edges, no roles
+    tree = partition_from_cuts(levels, cuts, [str(i) for i in range(n)] if names is None else names)
+    # a block of nonzero degree relates exactly the pairs not inside one child
+    support = sum((b.hi - b.lo) ** 2 - sum((c.hi - c.lo) ** 2 for c in b.children)
+                  for b in tree.blocks() if not b.degree.is_zero)
+    if support != len(phi) or any(tree.degree(i, j) != d for (i, j), d in phi._entries.items()):
+        raise ValueError("input relation is not a fuzzy equivalence")
+    return tree
 
 
 def _union_partition(

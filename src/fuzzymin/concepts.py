@@ -443,8 +443,10 @@ def _widest_paths(rows: ScaledRows, source: int) -> Dict[int, int]:
     return best
 
 
+# The per-call memo is keyed by node identity (a frozen node's hash re-hashes
+# its subtree); the root keeps every node, so every id, alive for the call.
 def _role_rows(node: Role, interp: FuzzyInterpretation, memo: Dict) -> ScaledRows:
-    got = memo.get(node)
+    got = memo.get(id(node))
     if got is not None:
         return got
     if isinstance(node, RoleName):
@@ -471,12 +473,12 @@ def _role_rows(node: Role, interp: FuzzyInterpretation, memo: Dict) -> ScaledRow
                 out[j][i] = d
     else:
         raise TypeError(f"not a role node: {node!r}")
-    memo[node] = out
+    memo[id(node)] = out
     return out
 
 
 def _concept_values(node: Concept, interp: FuzzyInterpretation, memo: Dict) -> List[int]:
-    got = memo.get(node)
+    got = memo.get(id(node))
     if got is not None:
         return got
     n = interp.n
@@ -509,7 +511,7 @@ def _concept_values(node: Concept, interp: FuzzyInterpretation, memo: Dict) -> L
         out = [min([SCALE if d <= c[y] else c[y] for y, d in row.items()], default=SCALE) for row in rows]
     else:
         raise TypeError(f"not a concept node: {node!r}")
-    memo[node] = out
+    memo[id(node)] = out
     return out
 
 

@@ -175,6 +175,8 @@ def approximate_minimize(
     problems = validate(interp)
     if problems:
         raise ValueError("invalid interpretation: " + "; ".join(problems))
+    if partition is not None and partition.n != interp.n:
+        raise ValueError(f"the partition covers {partition.n} elements, the interpretation {interp.n}")
     sig = interp.signature
     fs = params.features
     gamma = params.gamma

@@ -6,14 +6,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import (
-    Degree,
-    FuzzyRelation,
-    ONE,
-    SCALE,
-    ZERO,
-    is_fuzzy_equivalence,
-)
+from .core import Degree, FuzzyRelation, ONE, ZERO
 
 
 class Block:
@@ -163,8 +156,13 @@ def partition_from_cuts(
     the first cut already splits it), and a child's degree exceeds its
     parent's, so the tree is no deeper than the number of levels.  Children
     are ordered by their least element and leaves list their elements in
-    ascending order.
+    ascending order.  The cuts' carrier must be non-empty, one name each.
     """
+    n = len(cuts[-1])
+    if n == 0:
+        raise ValueError("a partition needs a non-empty carrier")
+    if len(names) != n:
+        raise ValueError(f"{len(names)} names for a carrier of {n} elements")
     blocks: List[Block] = []
     order: List[int] = []
     top = len(levels)
@@ -191,33 +189,5 @@ def partition_from_cuts(
         b.hi = len(order)
         return b
 
-    root = build(list(range(len(names))), 0, None)
+    root = build(list(range(n)), 0, None)
     return CompactFuzzyPartition(root, blocks, order, names)
-
-
-def build_compact_partition(
-    phi: FuzzyRelation,
-    names: Sequence[str] | None = None,
-) -> CompactFuzzyPartition:
-    """Block tree of a fuzzy equivalence given as a sparse relation."""
-    if not phi.is_square:
-        raise ValueError("a fuzzy equivalence must be square")
-    if not is_fuzzy_equivalence(phi):
-        raise ValueError("input relation is not a fuzzy equivalence")
-    n = phi.rows
-    if names is None:
-        names = [str(i) for i in range(n)]
-    levels = sorted({SCALE} | {d.scaled for d in phi._entries.values()})
-    index = {s: i for i, s in enumerate(levels)}
-    # the d-cut class of x is named by its least member: min{y : phi(x, y) >= d}
-    cuts = [[0] * n for _ in levels]
-    for x in range(n):
-        least = [n] * len(levels)
-        for y, d in phi.successors(x):
-            i = index[d.scaled]
-            least[i] = min(least[i], y)
-        member = n
-        for i in range(len(levels) - 1, -1, -1):
-            member = min(member, least[i])
-            cuts[i][x] = member
-    return partition_from_cuts([Degree.from_scaled(s) for s in levels], cuts, names)

@@ -1,4 +1,9 @@
+import io
+import random
+import sys
+
 import pytest
+from hypothesis import given, settings
 
 from fuzzymin.cli import (
     CliInputError,
@@ -7,8 +12,9 @@ from fuzzymin.cli import (
     write_interpretation,
 )
 from fuzzymin.core import Degree
-from fuzzymin.model import Signature, make_interpretation
-from instances import layered_cycles, twin_stars, two_chains
+from fuzzymin.model import FuzzyInterpretation, Signature, make_interpretation
+from instances import layered_cycles, research_network, twin_stars, two_chains
+from strategies import feature_sets, interpretations
 
 D = Degree
 
@@ -356,3 +362,62 @@ class TestCommands:
             assert status == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(interpretations(), feature_sets)
+    def test_write_then_parse_is_the_identity(self, interp, features):
+        sig = interp.signature
+        interp = FuzzyInterpretation(
+            Signature(sig.concept_names, sig.role_names, sig.individual_names, features),
+            interp.domain, interp.individuals, interp.concepts, interp.roles,
+        )
+        text = write_interpretation(interp)
+        assert ("\nfeatures " in text) == bool(features)
+        assert parse_interpretation(text)[1] == interp
+
+    # tokens a mutation may write in place of another one
+    NOISE = ("0", "1", "0.5", "1.5", "-0.2", "0.1234567891", ".", "x", "features", "I", "O",
+             "domain", "ind", "concept", "role", "#")
+
+    def mutate(self, rng, text):
+        lines = text.splitlines()
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(lines))
+            op = rng.randrange(5)
+            if op == 0:
+                del lines[k]
+            elif op == 1:
+                lines.insert(k, lines[k])
+            elif op == 2:
+                j = rng.randrange(len(lines))
+                lines[k], lines[j] = lines[j], lines[k]
+            else:
+                tokens = lines[k].split()
+                if tokens:
+                    t = rng.randrange(len(tokens))
+                    if op == 3:
+                        pool = text.split() + list(self.NOISE)
+                        tokens[t] = rng.choice(pool)
+                    else:
+                        del tokens[t]
+                lines[k] = " ".join(tokens)
+            if not lines:
+                break
+        return "\n".join(lines) + "\n"
+
+    def test_mutated_inputs_exit_0_or_1(self, capsys, monkeypatch):
+        # malformed input is an input error (1), never an internal one (2)
+        rng = random.Random(4242)
+        texts = [write_interpretation(f()) for f in (twin_stars, layered_cycles, two_chains, research_network)]
+        statuses = {0: 0, 1: 0}
+        for i in range(400):
+            mutant = self.mutate(rng, rng.choice(texts))
+            command = ["partition", "minimize"][i % 2]
+            monkeypatch.setattr(sys, "stdin", io.StringIO(mutant))
+            status = main([command, "--gamma", "0.5"] if command == "minimize" else [command])
+            err = capsys.readouterr().err
+            assert status in statuses, (command, mutant, err)
+            statuses[status] += 1
+        assert statuses[0] and statuses[1]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fuzzymin import (
     Signature,
     auto_partition,
+    bisimilarity_degree,
     check_bisimulation,
     construct_witness,
     greatest_auto_bisimulation,
@@ -17,9 +19,15 @@ from fuzzymin import (
 from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, tnorm
 from fuzzymin.concepts import preservation_report
 from fuzzymin.genbench import GeneratorParams, generate
-from fuzzymin.minimize import MinimizeParams, _Run, approximate_minimize, compute_D
+from fuzzymin.minimize import (
+    MinimizationTrace,
+    MinimizeParams,
+    _Run,
+    approximate_minimize,
+    compute_D,
+)
 from instances import layered_cycles, research_network, twin_stars, two_chains
-from strategies import PALETTE, feature_sets, interpretations
+from strategies import FEATURE_SETS, PALETTE, feature_sets, interpretations
 
 D = Degree
 
@@ -413,6 +421,12 @@ class TestPartitionReuse:
             witness = construct_witness(interp, again, params)
             assert check_bisimulation(witness, interp, again.reduced, features) == []
 
+    def test_partition_of_another_interpretation_rejected(self):
+        params = MinimizeParams(frozenset(), ONE)
+        other, _ = auto_partition(two_chains(), params.features)
+        with pytest.raises(ValueError, match="partition covers 6 elements"):
+            approximate_minimize(twin_stars(), params, partition=other)
+
     def test_run_started_by_a_listener_leaves_the_outer_run_intact(self):
         # a listener that minimizes the same partition again, mid-run, must
         # leave both results equal to sequential runs
@@ -458,3 +472,57 @@ class TestWitnessFromTree:
             witness = construct_witness(interp, result, params)
             assert witness == FuzzyRelation(interp.n, result.reduced.n, expected)
             assert check_bisimulation(witness, interp, result.reduced, features) == []
+
+
+def drop_last_link_reached(result):
+    """The result with its last link-reached kept element, and every fact
+    that mentions it, removed; None when individuals seeded every element."""
+    reached = [e.element for e in result.trace.added if e.via_element is not None]
+    if not reached:
+        return None
+    victim = reached[-1]
+    old = result.reduced
+    keep = [x for x in range(old.n) if old.element_name(x) != victim]
+    name = old.element_name
+    reduced = make_interpretation(
+        old.signature,
+        [name(x) for x in keep],
+        {a: name(x) for a, x in old.individuals.items()},
+        {c: {name(x): d for x, d in fs.items() if name(x) != victim}
+         for c, fs in old.concepts.items()},
+        {r: {(name(x), name(y)): d for (x, y), d in rel.items() if victim not in (name(x), name(y))}
+         for r, rel in old.roles.items()},
+    )
+    trace = MinimizationTrace(
+        [e for e in result.trace.added if e.element != victim], result.trace.degree_levels)
+    return replace(result, reduced=reduced, trace=trace)
+
+
+class TestMinimality:
+    """Dropping one more kept element loses the preservation up to gamma that
+    the paper's minimality result says every kept element is needed for."""
+
+    def cases(self):
+        for instance in (twin_stars, layered_cycles, two_chains, research_network):
+            for features in FEATURE_SETS:
+                for gamma in (ONE, D("0.8"), D("0.5")):
+                    yield instance(), features, gamma
+        yield from random_cases(150, seed_base=2100)
+
+    def test_dropping_a_link_reached_element_breaks_the_reduction(self):
+        applicable = 0
+        for interp, features, gamma in self.cases():
+            params = MinimizeParams(features, gamma)
+            dropped = drop_last_link_reached(approximate_minimize(interp, params))
+            if dropped is None:
+                continue
+            applicable += 1
+            smaller = dropped.reduced
+            assert bisimilarity_degree(interp, smaller, features) < gamma
+            witness = construct_witness(interp, dropped, params)
+            misses = [
+                a for a in interp.signature.individual_names
+                if witness.value(interp.individual_element(a), smaller.individual_element(a)) != gamma
+            ]
+            assert misses or check_bisimulation(witness, interp, smaller, features)
+        assert applicable >= 48 + 100  # every fixture case and 100 random ones

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,105 @@ class TestBuild:
                         assert child.degree > block.degree
                         child_elems.extend(partition.block_elements(child))
                     assert sorted(child_elems) == sorted(partition.block_elements(block))
+
+
+class TestCarrier:
+    def test_fewer_names_than_elements_rejected(self):
+        with pytest.raises(ValueError, match="2 names for a carrier of 3"):
+            build_compact_partition(identity_relation(3), ["a", "b"])
+
+    def test_more_names_than_elements_rejected(self):
+        with pytest.raises(ValueError, match="4 names for a carrier of 3"):
+            build_compact_partition(identity_relation(3), ["a", "b", "c", "d"])
+
+    def test_empty_carrier_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            build_compact_partition(FuzzyRelation(0, 0))
+
+
+class TestVerdict:
+    """The builder rejects exactly the relations that core's independent
+    check says are not fuzzy equivalences."""
+
+    def test_rejects_exactly_the_non_equivalences(self):
+        rng = random.Random(59)
+        seen = Counter()
+        for i in range(2100):
+            kind = KINDS[i % len(KINDS)]
+            phi = kind(rng)
+            expected = is_fuzzy_equivalence(phi)
+            try:
+                build_compact_partition(phi)
+            except ValueError:
+                built = False
+            else:
+                built = True
+            assert built == expected, (kind.__name__, phi)
+            seen[kind.__name__, expected] += 1
+        # removing an entry always breaks an equivalence; each edit that can
+        # go either way did
+        assert not seen["_removed", True]
+        for kind in KINDS[3:]:
+            assert seen[kind.__name__, True] and seen[kind.__name__, False], seen
+
+
+def _degree(rng, distinct=4):
+    return Degree.from_scaled(rng.randint(1, distinct) * (SCALE // distinct))
+
+
+def _raw(rng):
+    n = rng.randint(1, 8)
+    entries = {(rng.randrange(n), rng.randrange(n)): _degree(rng) for _ in range(rng.randint(0, n * n))}
+    return FuzzyRelation(n, n, entries)
+
+
+def _closure(rng):
+    return _random_equivalence(rng, rng.randint(1, 12), distinct=4)
+
+
+def _closure_entries(rng):
+    phi = _closure(rng)
+    return phi.rows, dict(phi.items())
+
+
+def _removed(rng):
+    n, entries = _closure_entries(rng)
+    del entries[rng.choice(sorted(entries))]
+    return FuzzyRelation(n, n, entries)
+
+
+def _changed(rng):
+    n, entries = _closure_entries(rng)
+    entries[rng.choice(sorted(entries))] = _degree(rng)
+    return FuzzyRelation(n, n, entries)
+
+
+def _added(rng):
+    n, entries = _closure_entries(rng)
+    entries[rng.randrange(n), rng.randrange(n)] = _degree(rng)
+    return FuzzyRelation(n, n, entries)
+
+
+def _pair_changed(rng):
+    # symmetric and reflexive still, so only transitivity can fail
+    n, entries = _closure_entries(rng)
+    i, j = rng.randrange(n), rng.randrange(n)
+    if i != j:
+        entries[i, j] = entries[j, i] = _degree(rng)
+    return FuzzyRelation(n, n, entries)
+
+
+def _diagonal_missing(rng):
+    n, entries = _closure_entries(rng)
+    for x in rng.sample(range(n), rng.randint(0, n)):
+        if rng.getrandbits(1):
+            del entries[x, x]
+        else:
+            entries[x, x] = _degree(rng)
+    return FuzzyRelation(n, n, entries)
+
+
+KINDS = (_raw, _closure, _removed, _changed, _added, _pair_changed, _diagonal_missing)
 
 
 class TestRoundTrip:
