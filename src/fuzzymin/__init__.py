@@ -38,7 +38,6 @@ from .bisim import (
     check_bisimulation,
     greatest_auto_bisimulation,
     greatest_bisimulation,
-    greatest_bisimulation_reference,
     to_fuzzy_graph,
 )
 from .concepts import (

@@ -14,7 +14,15 @@ does not hold here (ROADMAP.md, open item 1, "Refinement at the paper's
 bound").  That chain of partitions is the compact fuzzy partition; no n x n
 matrix is built.  The greatest bisimulation between two interpretations is
 the auto-bisimulation of their disjoint union, restricted to the pairs
-across the two.
+across the two.  The bisimilarity degree needs it only at the named
+individuals, and bisimulation is invariant under generated
+subinterpretations, so it refines just the part of the union the
+individuals reach over the edges (inverse roles are edges too) and reads
+each degree off the cuts, without building a block tree.
+
+``check_bisimulation`` is the oracle for all of this: it tests a relation
+against the four defining conditions directly and shares no code with the
+engine.
 
 A fuzzy equivalence phi is the greatest auto-bisimulation of the edgeless
 graph that labels each x with token y at degree phi(x, y), so the engine
@@ -26,7 +34,7 @@ min(phi(x, y), phi(x', y)) >= phi(x, x'), so Z >= phi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Degree,
@@ -35,8 +43,6 @@ from .core import (
     ONE,
     SCALE,
     ZERO,
-    biresiduum,
-    tnorm,
 )
 from .model import (
     BasicRole,
@@ -264,24 +270,36 @@ def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = No
     # a block of nonzero degree relates exactly the pairs not inside one child
     support = sum((b.hi - b.lo) ** 2 - sum((c.hi - c.lo) ** 2 for c in b.children)
                   for b in tree.blocks() if not b.degree.is_zero)
-    if support != len(phi) or any(tree.degree(i, j) != d for (i, j), d in phi._entries.items()):
+    if support != len(phi):
         raise ValueError("input relation is not a fuzzy equivalence")
+    order = tree.order
+    for x in range(n):
+        # x's row of the tree, walked up from x's leaf as construct_witness
+        # does: [lo, hi) is the span already visited
+        row: Dict[int, int] = {}
+        block = tree.leaf_of[x]
+        lo = hi = block.lo
+        while block is not None and not block.degree.is_zero:
+            d = block.degree.scaled
+            row.update(dict.fromkeys(order[block.lo:lo], d))
+            row.update(dict.fromkeys(order[hi:block.hi], d))
+            lo, hi, block = block.lo, block.hi, block.parent
+        if row != dict(labels[x]):
+            raise ValueError("input relation is not a fuzzy equivalence")
     return tree
 
 
-def _union_partition(
+def _union_graph(
     interp1: FuzzyInterpretation,
     interp2: FuzzyInterpretation,
     features: Iterable[str] | None,
-) -> Tuple[CompactFuzzyPartition, int]:
-    """Auto-bisimulation partition of the disjoint union; interp2's element
-    y is vertex interp1.n + y."""
+) -> Tuple[Labels, Edges, int]:
+    """The disjoint union flattened for ``_refine``; interp2's element y is
+    vertex interp1.n + y."""
     if not interp1.signature.same_names(interp2.signature):
         raise ValueError("interpretations use different signatures")
     fs = normalize_features(features)
-    graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
-    levels, cuts, rounds = _refine(*_flatten(graphs))
-    return partition_from_cuts(levels, cuts, interp1.domain + interp2.domain), rounds
+    return _flatten([to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)])
 
 
 def greatest_bisimulation(
@@ -295,7 +313,8 @@ def greatest_bisimulation(
     if interp1 is interp2:
         partition, rounds = auto_partition(interp1, features)
         return BisimResult(partition.to_equivalence(), rounds)
-    partition, rounds = _union_partition(interp1, interp2, features)
+    levels, cuts, rounds = _refine(*_union_graph(interp1, interp2, features))
+    partition = partition_from_cuts(levels, cuts, interp1.domain + interp2.domain)
     n1 = interp1.n
     return BisimResult(partition.relation(range(n1), range(n1, partition.n)), rounds)
 
@@ -311,17 +330,46 @@ def bisimilarity_degree(
     interp2: FuzzyInterpretation,
     features: Iterable[str] | None = None,
 ) -> Degree:
-    """min over individuals a of Z(a in the first, a in the second) for the greatest Z."""
-    partition, _ = _union_partition(interp1, interp2, features)
+    """min over individuals a of Z(a in the first, a in the second) for the greatest Z.
+
+    Z(x, x') depends only on the part of the union that x and x' reach over
+    its edges, inverse roles included (bisimulation is invariant under
+    generated subinterpretations), so only the vertices the individuals
+    reach are refined, and each degree is read off the cuts: the last level
+    whose cut still holds both vertices in one class.
+    """
+    labels, out, nroles = _union_graph(interp1, interp2, features)
     n1 = interp1.n
-    return min(
-        partition.degree(interp1.individual_element(a), n1 + interp2.individual_element(a))
+    pairs = [
+        (interp1.individual_element(a), n1 + interp2.individual_element(a))
         for a in interp1.signature.individual_names
-    )
+    ]
+    index: Dict[int, int] = {}  # reached vertex -> its number in the subgraph
+    for x, xp in pairs:
+        index.setdefault(x, len(index))
+        index.setdefault(xp, len(index))
+    reached = list(index)
+    for v in reached:  # breadth first: the list grows while it is walked
+        for _, _, y in out[v]:
+            if y not in index:
+                index[y] = len(index)
+                reached.append(y)
+    # rebinding frees the whole union before the refinement allocates
+    labels = [labels[v] for v in reached]
+    out = [[(d, r, index[y]) for d, r, y in out[v]] for v in reached]
+    levels, cuts, _ = _refine(labels, out, nroles)
+
+    def degree(u: int, v: int) -> Degree:
+        for k, cut in enumerate(cuts):
+            if cut[u] != cut[v]:
+                return levels[k - 1] if k else ZERO
+        return ONE
+
+    return min(degree(index[x], index[xp]) for x, xp in pairs)
 
 
 # --------------------------------------------------------------------------
-# condition checking and the small reference engine
+# condition checking
 # --------------------------------------------------------------------------
 
 
@@ -348,153 +396,102 @@ def check_bisimulation(
 
     Pairs with Z = 0 satisfy everything vacuously, so only the support of Z
     is examined.  Condition (4) applies only when nominals are enabled.
+    Degrees are compared as scaled ints over rows indexed once per call, and
+    a ``Degree`` is built only for a reported violation.
     """
     fs = normalize_features(features)
     if (Z.rows, Z.cols) != (interp1.n, interp2.n):
         raise ValueError("relation shape does not match the interpretation domains")
     sig = interp1.signature
-    concepts = [(c, interp1.concept_set(c), interp2.concept_set(c)) for c in sig.concept_names]
+
+    z_rows = {x: {xp: d.scaled for xp, d in Z.successors(x)} for x in Z.sources()}
+    concepts = [
+        (c, {x: d.scaled for x, d in interp1.concept_set(c).items()},
+         {x: d.scaled for x, d in interp2.concept_set(c).items()})
+        for c in sig.concept_names
+    ]
     roles = [
         (role, interp1.basic_role_relation(role), interp2.basic_role_relation(role))
         for role in basic_roles(sig, fs)
     ]
+
+    def marks(interp: FuzzyInterpretation) -> Dict[int, Set[int]]:
+        """Element -> positions of the individual names that mark it."""
+        got: Dict[int, Set[int]] = {}
+        if "O" in fs:
+            for i, a in enumerate(sig.individual_names):
+                got.setdefault(interp.individual_element(a), set()).add(i)
+        return got
+
+    marks1, marks2 = marks(interp1), marks(interp2)
+    unmarked: Set[int] = set()
+    unrelated: Dict[int, int] = {}
     out: List[BisimViolation] = []
-    for (x, xp), zval in Z.items():
+    for x, z_row in z_rows.items():
         name_x = interp1.element_name(x)
-        name_xp = interp2.element_name(xp)
-        for cname, set1, set2 in concepts:
-            bound = biresiduum(set1.value(x), set2.value(xp))
-            if zval > bound:
+        for xp, z in z_row.items():
+            name_xp = interp2.element_name(xp)
+            for cname, set1, set2 in concepts:
+                a, b = set1.get(x, 0), set2.get(xp, 0)
+                bound = SCALE if a == b else min(a, b)
+                if z > bound:
+                    out.append(
+                        BisimViolation(
+                            1, name_x, name_xp, None, cname,
+                            f"Z={Degree.from_scaled(z)} exceeds label bound "
+                            f"{Degree.from_scaled(bound)} for concept {cname}",
+                        )
+                    )
+            for role, rel1, rel2 in roles:
+                succ1, succ2 = rel1.successors(x), rel2.successors(xp)
+                # each max stops once it reaches lhs: only a best below lhs is reported
+                for y, dxy in succ1:
+                    lhs = min(z, dxy.scaled)
+                    z_y = z_rows.get(y, unrelated)
+                    best = 0
+                    for yp, dxpyp in succ2:
+                        cand = z_y.get(yp, 0)
+                        if cand > best:  # most are 0: test before taking the min
+                            cand = min(cand, dxpyp.scaled)
+                            if cand > best:
+                                best = cand
+                                if best >= lhs:
+                                    break
+                    if lhs > best:
+                        name_y = interp1.element_name(y)
+                        out.append(
+                            BisimViolation(
+                                2, name_x, name_xp, role, name_y,
+                                f"forward transfer over {role} to {name_y}: "
+                                f"{Degree.from_scaled(lhs)} > {Degree.from_scaled(best)}",
+                            )
+                        )
+                for yp, dxpyp in succ2:
+                    lhs = min(z, dxpyp.scaled)
+                    best = 0
+                    for y, dxy in succ1:
+                        cand = z_rows.get(y, unrelated).get(yp, 0)
+                        if cand > best:
+                            cand = min(cand, dxy.scaled)
+                            if cand > best:
+                                best = cand
+                                if best >= lhs:
+                                    break
+                    if lhs > best:
+                        name_yp = interp2.element_name(yp)
+                        out.append(
+                            BisimViolation(
+                                3, name_x, name_xp, role, name_yp,
+                                f"backward transfer over {role} to {name_yp}: "
+                                f"{Degree.from_scaled(lhs)} > {Degree.from_scaled(best)}",
+                            )
+                        )
+            for i in sorted(marks1.get(x, unmarked) ^ marks2.get(xp, unmarked)):
+                a = sig.individual_names[i]
                 out.append(
                     BisimViolation(
-                        1, name_x, name_xp, None, cname,
-                        f"Z={zval} exceeds label bound {bound} for concept {cname}",
+                        4, name_x, name_xp, None, a,
+                        f"Z={Degree.from_scaled(z)} but the name {a} marks only one side",
                     )
                 )
-        for role, rel1, rel2 in roles:
-            succ1, succ2 = rel1.successors(x), rel2.successors(xp)
-            # each max stops once it reaches lhs: only a best below lhs is reported
-            for y, dxy in succ1:
-                lhs = tnorm(zval, dxy)
-                if lhs.is_zero:
-                    continue
-                best = ZERO
-                for yp, dxpyp in succ2:
-                    cand = tnorm(Z.value(y, yp), dxpyp)
-                    if cand > best:
-                        best = cand
-                        if best >= lhs:
-                            break
-                if lhs > best:
-                    out.append(
-                        BisimViolation(
-                            2, name_x, name_xp, role, interp1.element_name(y),
-                            f"forward transfer over {role} to {interp1.element_name(y)}: "
-                            f"{lhs} > {best}",
-                        )
-                    )
-            for yp, dxpyp in succ2:
-                lhs = tnorm(zval, dxpyp)
-                if lhs.is_zero:
-                    continue
-                best = ZERO
-                for y, dxy in succ1:
-                    cand = tnorm(Z.value(y, yp), dxy)
-                    if cand > best:
-                        best = cand
-                        if best >= lhs:
-                            break
-                if lhs > best:
-                    out.append(
-                        BisimViolation(
-                            3, name_x, name_xp, role, interp2.element_name(yp),
-                            f"backward transfer over {role} to {interp2.element_name(yp)}: "
-                            f"{lhs} > {best}",
-                        )
-                    )
-        if "O" in fs:
-            for a in sig.individual_names:
-                here = x == interp1.individual_element(a)
-                there = xp == interp2.individual_element(a)
-                if here != there and not zval.is_zero:
-                    out.append(
-                        BisimViolation(
-                            4, name_x, name_xp, None, a,
-                            f"Z={zval} but the name {a} marks only one side",
-                        )
-                    )
     return out
-
-
-def greatest_bisimulation_reference(
-    interp1: FuzzyInterpretation,
-    interp2: FuzzyInterpretation,
-    features: Iterable[str] | None = None,
-    pair_order: Optional[Sequence[Tuple[int, int]]] = None,
-) -> FuzzyRelation:
-    """Small, order-parameterized refinement engine used as a test oracle.
-
-    Processes pairs in the given order (Gauss-Seidel style); the greatest
-    fixpoint is unique, so any order converges to the same relation.
-    """
-    if not interp1.signature.same_names(interp2.signature):
-        raise ValueError("interpretations use different signatures")
-    fs = normalize_features(features)
-    g1 = to_fuzzy_graph(interp1, fs)
-    g2 = to_fuzzy_graph(interp2, fs)
-    n1, n2 = g1.n, g2.n
-    pairs = list(pair_order) if pair_order is not None else [
-        (x, xp) for x in range(n1) for xp in range(n2)
-    ]
-
-    z: List[List[Degree]] = [[ONE] * n2 for _ in range(n1)]
-    for token in g1.vertex_labels:
-        for x in range(n1):
-            for xp in range(n2):
-                b = biresiduum(g1.vertex_label(x, token), g2.vertex_label(xp, token))
-                if b < z[x][xp]:
-                    z[x][xp] = b
-
-    roles = [r for r in g1.edge_labels]
-
-    def refine_pair(x: int, xp: int) -> bool:
-        cur = z[x][xp]
-        if cur.is_zero:
-            return False
-        new = cur
-        for role in roles:
-            rel1, rel2 = g1.edges[role], g2.edges[role]
-            for y, dxy in rel1.successors(x):
-                best = ZERO
-                for yp, d2 in rel2.successors(xp):
-                    cand = tnorm(z[y][yp], d2)
-                    if cand > best:
-                        best = cand
-                if dxy > best and best < new:
-                    new = best
-            for yp, dxpyp in rel2.successors(xp):
-                best = ZERO
-                for y, d1 in rel1.successors(x):
-                    cand = tnorm(z[y][yp], d1)
-                    if cand > best:
-                        best = cand
-                if dxpyp > best and best < new:
-                    new = best
-        if new < cur:
-            z[x][xp] = new
-            return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for x, xp in pairs:
-            if refine_pair(x, xp):
-                changed = True
-
-    entries = {}
-    for x in range(n1):
-        for xp in range(n2):
-            if not z[x][xp].is_zero:
-                entries[x, xp] = z[x][xp]
-    return FuzzyRelation(n1, n2, entries)

@@ -191,11 +191,6 @@ class FuzzySet:
         body = ", ".join(f"{k}:{v}" for k, v in self.items())
         return f"FuzzySet({self.size}, {{{body}}})"
 
-    def leq(self, other: "FuzzySet") -> bool:
-        if self.size != other.size:
-            raise ValueError("carrier mismatch")
-        return all(d <= other.value(k) for k, d in self._entries.items())
-
 
 class FuzzyRelation:
     """Sparse fuzzy relation between two finite indexed carriers.
@@ -294,11 +289,6 @@ class FuzzyRelation:
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}):{d}" for (i, j), d in self.items())
         return f"FuzzyRelation({self.rows}x{self.cols}, {{{body}}})"
-
-    def leq(self, other: "FuzzyRelation") -> bool:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("carrier mismatch")
-        return all(d <= other.value(i, j) for (i, j), d in self._entries.items())
 
 
 def identity_relation(n: int) -> FuzzyRelation:

@@ -15,7 +15,6 @@ from fuzzymin import (
     check_bisimulation,
     construct_witness,
     greatest_auto_bisimulation,
-    greatest_bisimulation_reference,
     rst_closure,
 )
 from fuzzymin.bisim import auto_partition
@@ -29,6 +28,7 @@ from fuzzymin.concepts import (
 from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, biresiduum
 from fuzzymin.genbench import GeneratorParams, derive_seed, generate, run_bench
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
+from bisim_reference import greatest_bisimulation_reference
 from instances import (
     SEVEN_POINT_RENDERED,
     TABLE_NAMES,

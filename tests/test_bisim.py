@@ -13,7 +13,6 @@ from fuzzymin import (
     check_bisimulation,
     greatest_auto_bisimulation,
     greatest_bisimulation,
-    greatest_bisimulation_reference,
     is_fuzzy_equivalence,
     make_interpretation,
     to_fuzzy_graph,
@@ -23,6 +22,7 @@ from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, ZERO, biresiduum
 from fuzzymin.concepts import eval_concept, interpretation_degree_pool, random_concept
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize, construct_witness
+from bisim_reference import greatest_bisimulation_reference
 from instances import alternating_chain, layered_cycles, twin_stars, two_chains
 from strategies import feature_sets, interpretation_pairs, interpretations
 

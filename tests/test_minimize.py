@@ -11,7 +11,6 @@ from fuzzymin import (
     check_bisimulation,
     construct_witness,
     greatest_auto_bisimulation,
-    greatest_bisimulation_reference,
     make_interpretation,
     size_stats,
     validate,
@@ -26,6 +25,7 @@ from fuzzymin.minimize import (
     approximate_minimize,
     compute_D,
 )
+from bisim_reference import greatest_bisimulation_reference
 from instances import layered_cycles, research_network, twin_stars, two_chains
 from strategies import FEATURE_SETS, PALETTE, feature_sets, interpretations
 

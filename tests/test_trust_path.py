@@ -1,0 +1,130 @@
+"""The trust path against the implementations it replaced.
+
+``bisimilarity_degree`` refines only what the individuals reach and reads
+the degrees off the cuts; ``check_bisimulation`` compares scaled ints over
+rows indexed once.  ``bisim_reference`` keeps the whole-union tree and the
+per-successor-pair check, and both must agree exactly: equal degrees and
+byte-identical violation lists.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from fuzzymin import (
+    Signature,
+    bisimilarity_degree,
+    check_bisimulation,
+    construct_witness,
+    make_interpretation,
+)
+from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, biresiduum
+from fuzzymin.genbench import GeneratorParams, generate
+from fuzzymin.minimize import MinimizeParams, approximate_minimize
+from bisim_reference import bisimilarity_degree_reference, check_bisimulation_reference
+from instances import layered_cycles, research_network, twin_stars, two_chains
+from strategies import FEATURE_SETS, PALETTE, interpretation_pairs
+
+GAMMAS = (ONE, Degree("0.7"), Degree("0.4"))
+
+
+def assert_same_degree(first, second, features):
+    for one, two in ((first, second), (second, first)):
+        assert bisimilarity_degree(one, two, features) == bisimilarity_degree_reference(one, two, features)
+
+
+def assert_same_violations(Z, first, second, features):
+    got = check_bisimulation(Z, first, second, features)
+    expected = check_bisimulation_reference(Z, first, second, features)
+    assert [str(v) for v in got] == [str(v) for v in expected]
+    assert got == expected
+
+
+def raised(Z):
+    """Every related pair at degree 1: few witnesses survive that."""
+    return FuzzyRelation(Z.rows, Z.cols, {pair: ONE for pair, _ in Z.items()})
+
+
+def generated(seed, features, size_seed):
+    """A small generator instance whose signature depends only on ``features``."""
+    rng = random.Random(size_seed)
+    n = rng.randint(3, 6)
+    return generate(GeneratorParams(
+        k=2, n_per=n, m_per=rng.randint(0, n), o_per=1, p_per=rng.randint(0, 2 * n),
+        l=3, sCN=2, sRN=2, acyclic=bool(rng.getrandbits(1)),
+        withI="I" in features, withO="O" in features, seed=seed,
+    ))
+
+
+def assert_same_on_reductions(first, features):
+    """Both paths agree on ``first`` against its reduction at each gamma, on
+    the witness and on the raised witness in both directions; returns how
+    many raised witnesses were rejected."""
+    violated = 0
+    for gamma in GAMMAS:
+        params = MinimizeParams(features, gamma)
+        result = approximate_minimize(first, params)
+        reduced = result.reduced
+        assert_same_degree(first, reduced, features)
+        witness = construct_witness(first, result, params)
+        assert_same_violations(witness, first, reduced, features)
+        lifted = raised(witness)
+        assert_same_violations(lifted, first, reduced, features)
+        assert_same_violations(lifted.inverse(), reduced, first, features)
+        violated += bool(check_bisimulation(lifted, first, reduced, features))
+    return violated
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(interpretation_pairs(), st.data())
+    def test_matches_reference_on_drawn_pairs(self, case, data):
+        first, second, features = case
+        assert_same_degree(first, second, features)
+        cell = st.tuples(st.integers(0, first.n - 1), st.integers(0, second.n - 1))
+        entries = data.draw(st.dictionaries(cell, st.sampled_from(PALETTE), max_size=first.n * second.n))
+        Z = FuzzyRelation(first.n, second.n, entries)
+        assert_same_violations(Z, first, second, features)
+        assert_same_violations(raised(Z).inverse(), second, first, features)
+
+    def test_generator_sweep(self):
+        violated = 0
+        for seed in range(20):
+            for features in FEATURE_SETS:
+                first = generated(seed, features, seed)
+                assert_same_degree(first, generated(seed + 1000, features, seed + 1), features)
+                violated += assert_same_on_reductions(first, features)
+        # the raised witnesses exercise the reporting, not only the clean case
+        assert violated > 0
+
+    def test_named_instances(self):
+        for build in (twin_stars, layered_cycles, two_chains, research_network):
+            for features in FEATURE_SETS:
+                assert_same_on_reductions(build(), features)
+
+
+def staircase(levels, degree_of_a=None, degree_of_x1=None):
+    """``levels`` elements, one concept ``A`` with a distinct degree at each and
+    no role facts; individual ``a`` names ``x0``.  Its block tree is
+    ``levels`` deep."""
+    step = SCALE // (levels + 2)
+    domain = [f"x{i}" for i in range(levels)]
+    degrees = {x: Degree.from_scaled((i + 1) * step) for i, x in enumerate(domain)}
+    if degree_of_a is not None:
+        degrees["x0"] = degree_of_a
+    if degree_of_x1 is not None:
+        degrees["x1"] = degree_of_x1
+    return make_interpretation(Signature(("A",), ("r",), ("a",)), domain, {"a": "x0"}, {"A": degrees})
+
+
+class TestDeepInputs:
+    def test_staircase_degree_needs_no_tree(self):
+        stairs = staircase(3000)
+        a_degree = stairs.concept_set("A").value(stairs.individual_element("a"))
+        changed = Degree("0.5")
+        for features in FEATURE_SETS:
+            assert bisimilarity_degree(stairs, stairs, features) == ONE
+            assert bisimilarity_degree(stairs, staircase(3000, degree_of_a=changed), features) == (
+                biresiduum(a_degree, changed))
+            # x1 is not reached from a, so changing it changes nothing
+            assert bisimilarity_degree(stairs, staircase(3000, degree_of_x1=changed), features) == ONE
