@@ -259,31 +259,19 @@ def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = No
     """Block tree of a fuzzy equivalence given as a sparse relation, built by
     the engine from phi's rows (see the module docstring).  On any other
     relation the engine's tree is still an equivalence, but not phi, so phi
-    is rejected unless the tree gives it back; the support sizes are compared
-    first, so a sparse non-equivalence is never expanded to n x n."""
+    is rejected unless each of the tree's rows, walked once up from its leaf,
+    equals phi's.  The check stops at the first row that differs, so it costs
+    O(|phi| + n) and a sparse non-equivalence is never expanded to n x n."""
     if not phi.is_square:
         raise ValueError("a fuzzy equivalence must be square")
     n = phi.rows
     labels = [[(y, d.scaled) for y, d in phi.successors(x)] for x in range(n)]
     levels, cuts, _ = _refine(labels, [()] * n, 0)  # no edges, no roles
     tree = partition_from_cuts(levels, cuts, [str(i) for i in range(n)] if names is None else names)
-    # a block of nonzero degree relates exactly the pairs not inside one child
-    support = sum((b.hi - b.lo) ** 2 - sum((c.hi - c.lo) ** 2 for c in b.children)
-                  for b in tree.blocks() if not b.degree.is_zero)
-    if support != len(phi):
-        raise ValueError("input relation is not a fuzzy equivalence")
-    order = tree.order
     for x in range(n):
-        # x's row of the tree, walked up from x's leaf as construct_witness
-        # does: [lo, hi) is the span already visited
         row: Dict[int, int] = {}
-        block = tree.leaf_of[x]
-        lo = hi = block.lo
-        while block is not None and not block.degree.is_zero:
-            d = block.degree.scaled
-            row.update(dict.fromkeys(order[block.lo:lo], d))
-            row.update(dict.fromkeys(order[hi:block.hi], d))
-            lo, hi, block = block.lo, block.hi, block.parent
+        for degree, elems in tree.row(x):
+            row.update(dict.fromkeys(elems, degree.scaled))
         if row != dict(labels[x]):
             raise ValueError("input relation is not a fuzzy equivalence")
     return tree

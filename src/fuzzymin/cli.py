@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import Degree, FuzzyRelation, FuzzySet
 from .bisim import auto_partition, greatest_bisimulation
 from .concepts import eval_concept, parse_concept, ConceptParseError
-from .genbench import GeneratorParams, format_csv, format_table, generate, run_bench
+from .genbench import SHAPE, GeneratorParams, format_csv, format_table, generate, run_bench
 from .minimize import MinimizeParams, approximate_minimize
 from .model import (
     FuzzyInterpretation,
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--concept", required=True, help="concept expression text")
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
-    for name in ("k", "n_per", "m_per", "o_per", "p_per", "l", "sCN", "sRN", "acyclic", "withI", "withO"):
+    for name in SHAPE:
         p_gen.add_argument(name, type=int)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", dest="outfile", default="-")
@@ -366,12 +366,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = GeneratorParams(
-        k=args.k, n_per=args.n_per, m_per=args.m_per, o_per=args.o_per,
-        p_per=args.p_per, l=args.l, sCN=args.sCN, sRN=args.sRN,
-        acyclic=bool(args.acyclic), withI=bool(args.withI), withO=bool(args.withO),
-        seed=args.seed,
-    )
+    params = GeneratorParams.from_row([getattr(args, name) for name in SHAPE], args.seed)
     try:
         interp = generate(params)
     except ValueError as exc:
@@ -394,14 +389,7 @@ def _cmd_bench(args) -> int:
             values = [int(p) for p in parts]
         except ValueError:
             _fail(line_no, "parameter rows must contain integers")
-        params_list.append(
-            GeneratorParams(
-                k=values[0], n_per=values[1], m_per=values[2], o_per=values[3],
-                p_per=values[4], l=values[5], sCN=values[6], sRN=values[7],
-                acyclic=bool(values[8]), withI=bool(values[9]), withO=bool(values[10]),
-                seed=args.seed + line_no,
-            )
-        )
+        params_list.append(GeneratorParams.from_row(values, args.seed + line_no))
     gamma = _parse_gamma(args.gamma)
     try:
         rows = run_bench(params_list, gamma, args.repeats)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import Degree, FuzzyRelation, FuzzySet, ONE, SCALE, ScaledRows, biresiduum
-from .core import _from_scaled_rows, _maxmin_rows, _to_scaled_rows
+from .core import _from_scaled_rows, _maxmin_rows
 from .model import FuzzyInterpretation, Signature, normalize_features
 
 
@@ -450,7 +450,7 @@ def _role_rows(node: Role, interp: FuzzyInterpretation, memo: Dict) -> ScaledRow
     if got is not None:
         return got
     if isinstance(node, RoleName):
-        out = _to_scaled_rows(interp.role_relation(node.name))
+        out = interp.role_relation(node.name).scaled_rows()
     elif isinstance(node, RoleUnion):
         out = []
         for left, right in zip(_role_rows(node.left, interp, memo), _role_rows(node.right, interp, memo)):

@@ -192,17 +192,22 @@ class FuzzySet:
         return f"FuzzySet({self.size}, {{{body}}})"
 
 
+# A relation as successor rows of scaled degrees: row i maps each target j of
+# a positive entry to its scaled degree.  The concept evaluator computes on it.
+ScaledRows = List[Dict[int, int]]
+
+
 class FuzzyRelation:
     """Sparse fuzzy relation between two finite indexed carriers.
 
     Keeps each row's successors sorted by target, so successors(x) is cheap.
     The constructor checks every entry; ``_trusted`` builds the same object
     from entries that are valid by construction without checking them.
-    Relations are immutable, so the sorted degree set is computed once, on
-    first use.
+    Relations are immutable, so the sorted degree set and the scaled rows are
+    computed once, on first use.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_fwd", "_degrees")
+    __slots__ = ("rows", "cols", "_entries", "_fwd", "_degrees", "_scaled_rows")
 
     def __init__(
         self,
@@ -244,6 +249,7 @@ class FuzzyRelation:
             fwd.setdefault(i, []).append((j, deg))
         self._fwd = {i: tuple(sorted(v)) for i, v in fwd.items()}
         self._degrees: Optional[Tuple[Degree, ...]] = None
+        self._scaled_rows: Optional[ScaledRows] = None
 
     def value(self, i: int, j: int) -> Degree:
         return self._entries.get((i, j), ZERO)
@@ -264,6 +270,13 @@ class FuzzyRelation:
         if self._degrees is None:
             self._degrees = tuple(sorted(set(self._entries.values())))
         return self._degrees
+
+    def scaled_rows(self) -> ScaledRows:
+        """The relation as ``ScaledRows``, shared by every caller, so callers
+        must not write to it."""
+        if self._scaled_rows is None:
+            self._scaled_rows = [{j: d.scaled for j, d in self.successors(i)} for i in range(self.rows)]
+        return self._scaled_rows
 
     def inverse(self) -> "FuzzyRelation":
         return FuzzyRelation._trusted(self.cols, self.rows, {(j, i): d for (i, j), d in self._entries.items()})
@@ -295,15 +308,6 @@ def identity_relation(n: int) -> FuzzyRelation:
     return FuzzyRelation(n, n, {(i, i): ONE for i in range(n)})
 
 
-# A relation as successor rows of scaled degrees: row i maps each target j of
-# a positive entry to its scaled degree.  The concept evaluator computes on it.
-ScaledRows = List[Dict[int, int]]
-
-
-def _to_scaled_rows(phi: FuzzyRelation) -> ScaledRows:
-    return [{j: d.scaled for j, d in phi.successors(i)} for i in range(phi.rows)]
-
-
 def _from_scaled_rows(rows: ScaledRows, cols: int) -> FuzzyRelation:
     return FuzzyRelation._trusted(len(rows), cols, {
         (i, j): Degree.from_scaled(d) for i, row in enumerate(rows) for j, d in row.items()})
@@ -328,7 +332,7 @@ def compose(phi: FuzzyRelation, psi: FuzzyRelation) -> FuzzyRelation:
     """Max-min composition of two fuzzy relations."""
     if phi.cols != psi.rows:
         raise ValueError(f"composition dimension mismatch: {phi.cols} vs {psi.rows}")
-    return _from_scaled_rows(_maxmin_rows(_to_scaled_rows(phi), _to_scaled_rows(psi)), psi.cols)
+    return _from_scaled_rows(_maxmin_rows(phi.scaled_rows(), psi.scaled_rows()), psi.cols)
 
 
 def rst_closure(phi: FuzzyRelation) -> FuzzyRelation:

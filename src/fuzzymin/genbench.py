@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import Degree, SCALE
@@ -38,6 +38,16 @@ class GeneratorParams:
     withO: bool = False
     seed: int = 0
 
+    @classmethod
+    def from_row(cls, values: Sequence[int], seed: int) -> "GeneratorParams":
+        """The shape from its eleven integers in ``SHAPE`` order; the last
+        three are flags, set when nonzero."""
+        return cls(*values[:8], *(bool(v) for v in values[8:]), seed=seed)
+
+    def row(self) -> Tuple[int, ...]:
+        """The eleven integers ``from_row`` reads, flags as 0 or 1."""
+        return tuple(int(getattr(self, name)) for name in SHAPE)
+
     def features(self) -> frozenset:
         fs = set()
         if self.withI:
@@ -45,6 +55,11 @@ class GeneratorParams:
         if self.withO:
             fs.add("O")
         return frozenset(fs)
+
+
+# the shape fields in the order of a ``fuzzymin gen`` command line and of a
+# bench spec row: every field but the seed
+SHAPE = tuple(f.name for f in fields(GeneratorParams) if f.name != "seed")
 
 
 def _check_feasible(p: GeneratorParams) -> None:
@@ -164,14 +179,7 @@ class BenchRow:
     seconds: float
 
     def params_text(self) -> str:
-        p = self.params
-        return " ".join(
-            str(v)
-            for v in (
-                p.k, p.n_per, p.m_per, p.o_per, p.p_per, p.l, p.sCN, p.sRN,
-                int(p.acyclic), int(p.withI), int(p.withO),
-            )
-        )
+        return " ".join(map(str, self.params.row()))
 
 
 def derive_seed(base: int, repeat: int) -> int:
@@ -193,12 +201,7 @@ def run_bench(
         elapsed_total = 0.0
         m_input = 0
         for rep in range(repeats):
-            instance_params = GeneratorParams(
-                params.k, params.n_per, params.m_per, params.o_per, params.p_per,
-                params.l, params.sCN, params.sRN, params.acyclic, params.withI,
-                params.withO, derive_seed(params.seed, rep),
-            )
-            interp = generate(instance_params)
+            interp = generate(replace(params, seed=derive_seed(params.seed, rep)))
             m_input = sum(rel.support_size() for rel in interp.roles.values())
             mp = MinimizeParams(features=params.features(), gamma=gamma)
             start = time.perf_counter()

@@ -341,20 +341,15 @@ def construct_witness(
             ) from None
 
     partition = result.partition
-    order = partition.order
     level_of = {entry.element: entry.degree for entry in result.trace.added}
     entries: Dict[Tuple[int, int], Degree] = {}
     for new_idx, name in enumerate(result.reduced.domain):
         dy = level_of[name]
-        # Z0(v, y) is the degree of the deepest block holding both, so walking
-        # up from y's leaf meets every v with Z0(v, y) > 0 exactly once; [lo, hi)
-        # is the span already visited
-        block = partition.leaf_of[interp.element_index(name)]
-        lo = hi = block.lo
-        while block is not None and not block.degree.is_zero:
-            d = tnorm(dy, block.degree)
-            for v in order[block.lo:lo] + order[hi:block.hi]:
+        # Z0(v, y) is the degree of the deepest block holding both, so y's
+        # row of the partition meets every v with Z0(v, y) > 0 exactly once
+        for degree, elems in partition.row(interp.element_index(name)):
+            d = tnorm(dy, degree)
+            for v in elems:
                 entries[v, new_idx] = d
-            lo, hi, block = block.lo, block.hi, block.parent
     # d_y and every block degree walked are nonzero, so no entry is zero
     return FuzzyRelation._trusted(interp.n, result.reduced.n, entries)

@@ -1,6 +1,13 @@
 """Compact fuzzy partitions: the block tree of a fuzzy equivalence and its
 read-only navigation.  A tree is never written after it is built, so any
-number of runs, nested ones included, may share one."""
+number of runs, nested ones included, may share one.
+
+This module alone knows the tree's layout: each block's elements are the
+span ``order[lo:hi]``, and the blocks are numbered in preorder.  Other
+modules read a row of the equivalence through ``row``, which walks one
+leaf-to-root path.  Building and rendering use explicit loops, never
+recursion, so the depth of a tree (up to one level per degree) is bounded
+only by memory."""
 
 from __future__ import annotations
 
@@ -95,16 +102,29 @@ class CompactFuzzyPartition:
         sibling list is joined with a comma and a space.
         """
         names = self.names if names is None else list(names)
-
-        def go(block: Block) -> str:
+        # blocks are in preorder, so in reverse every child comes before its parent
+        text: Dict[int, str] = {}
+        for block in reversed(self._blocks):
             if block.is_crisp:
                 inner = ",".join(names[x] for x in self.block_elements(block))
             else:
                 sep = "," if all(c.is_crisp for c in block.children) else ", "
-                inner = sep.join(go(c) for c in block.children)
-            return f"{{{inner}}}_{block.degree}"
+                inner = sep.join([text.pop(c.id) for c in block.children])
+            text[block.id] = f"{{{inner}}}_{block.degree}"
+        return text[self.root.id]
 
-        return go(self.root)
+    def row(self, x: int) -> Iterator[Tuple[Degree, List[int]]]:
+        """x's row of the equivalence, walked once up from x's leaf: for each
+        block of nonzero degree on the path, its degree and the elements first
+        met there, so every y with a positive degree to x comes exactly once
+        (x itself with degree 1, in its leaf)."""
+        order = self.order
+        block: Optional[Block] = self.leaf_of[x]
+        lo = hi = block.lo
+        while block is not None and not block.degree.is_zero:
+            # [lo, hi) is the span already visited
+            yield block.degree, order[block.lo:lo] + order[hi:block.hi]
+            lo, hi, block = block.lo, block.hi, block.parent
 
     def degree(self, x: int, y: int) -> Degree:
         """Degree of the deepest block holding both x and y (1 inside one leaf)."""
@@ -166,9 +186,11 @@ def partition_from_cuts(
     blocks: List[Block] = []
     order: List[int] = []
     top = len(levels)
-
-    def build(elems: List[int], level: int, parent: Optional[Block]) -> Block:
-        # elems ascend and are one class in every cut below ``level``
+    # each entry: elements that ascend and are one class in every cut below
+    # ``level``; children are pushed in reverse, so blocks come off in preorder
+    stack: List[Tuple[List[int], int, Optional[Block]]] = [(list(range(n)), 0, None)]
+    while stack:
+        elems, level, parent = stack.pop()
         while level < top:
             cut = cuts[level]
             first = cut[elems[0]]
@@ -178,16 +200,15 @@ def partition_from_cuts(
         degree = ONE if level == top else levels[level - 1] if level else ZERO
         b = Block(len(blocks), degree, parent)
         blocks.append(b)
+        if parent is not None:
+            parent.children.append(b)
         b.lo = len(order)
+        b.hi = b.lo + len(elems)
         if level == top:
             order.extend(elems)
         else:
             groups: Dict[int, List[int]] = {}
             for x in elems:
                 groups.setdefault(cut[x], []).append(x)
-            b.children = [build(group, level + 1, b) for group in groups.values()]
-        b.hi = len(order)
-        return b
-
-    root = build(list(range(n)), 0, None)
-    return CompactFuzzyPartition(root, blocks, order, names)
+            stack.extend((group, level + 1, b) for group in reversed(groups.values()))
+    return CompactFuzzyPartition(blocks[0], blocks, order, names)

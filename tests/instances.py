@@ -7,7 +7,7 @@ from fuzzymin import (
     make_interpretation,
     rst_closure,
 )
-from fuzzymin.core import Degree
+from fuzzymin.core import Degree, SCALE
 
 
 def twin_stars() -> FuzzyInterpretation:
@@ -143,3 +143,17 @@ def seven_point_equivalence() -> FuzzyRelation:
 SEVEN_POINT_RENDERED = (
     "{{a1}_1, {{{a2}_1,{a3}_1}_0.4, {{{a4,a5}_1,{a6}_1}_0.8, {a7}_1}_0.5}_0.2}_0"
 )
+
+
+def staircase(levels, degree_of_a=None, degree_of_x1=None):
+    """``levels`` elements, one concept ``A`` with a distinct degree at each and
+    no role facts; individual ``a`` names ``x0``.  Its block tree is
+    ``levels`` deep."""
+    step = SCALE // (levels + 2)
+    domain = [f"x{i}" for i in range(levels)]
+    degrees = {x: Degree.from_scaled((i + 1) * step) for i, x in enumerate(domain)}
+    if degree_of_a is not None:
+        degrees["x0"] = degree_of_a
+    if degree_of_x1 is not None:
+        degrees["x1"] = degree_of_x1
+    return make_interpretation(Signature(("A",), ("r",), ("a",)), domain, {"a": "x0"}, {"A": degrees})

@@ -13,7 +13,7 @@ from fuzzymin.cli import (
 )
 from fuzzymin.core import Degree
 from fuzzymin.model import FuzzyInterpretation, Signature, make_interpretation
-from instances import layered_cycles, research_network, twin_stars, two_chains
+from instances import layered_cycles, research_network, staircase, twin_stars, two_chains
 from strategies import feature_sets, interpretations
 
 D = Degree
@@ -421,3 +421,19 @@ class TestProperties:
             assert status in statuses, (command, mutant, err)
             statuses[status] += 1
         assert statuses[0] and statuses[1]
+
+
+class TestDeepInputs:
+    def test_staircase_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        levels = 1200
+        assert levels > sys.getrecursionlimit()
+        infile = tmp_path / "stairs.txt"
+        infile.write_text(write_interpretation(staircase(levels)))
+        status, out, err = run_cli(capsys, ["partition", "--in", str(infile)])
+        assert (status, err) == (0, "")
+        assert out.startswith("{{x0}_1, {{x1}_1, ") and out.count("{") == 2 * levels - 1
+        outfile = tmp_path / "out.txt"
+        status, out, err = run_cli(capsys, ["minimize", "--in", str(infile), "--out", str(outfile)])
+        assert (status, err) == (0, "")
+        _, reduced = parse_interpretation(outfile.read_text())
+        assert list(reduced.domain) == ["x0"]

@@ -12,17 +12,15 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from fuzzymin import (
-    Signature,
     bisimilarity_degree,
     check_bisimulation,
     construct_witness,
-    make_interpretation,
 )
-from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, biresiduum
+from fuzzymin.core import Degree, FuzzyRelation, ONE, biresiduum
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
 from bisim_reference import bisimilarity_degree_reference, check_bisimulation_reference
-from instances import layered_cycles, research_network, twin_stars, two_chains
+from instances import layered_cycles, research_network, staircase, twin_stars, two_chains
 from strategies import FEATURE_SETS, PALETTE, interpretation_pairs
 
 GAMMAS = (ONE, Degree("0.7"), Degree("0.4"))
@@ -101,20 +99,6 @@ class TestDifferential:
         for build in (twin_stars, layered_cycles, two_chains, research_network):
             for features in FEATURE_SETS:
                 assert_same_on_reductions(build(), features)
-
-
-def staircase(levels, degree_of_a=None, degree_of_x1=None):
-    """``levels`` elements, one concept ``A`` with a distinct degree at each and
-    no role facts; individual ``a`` names ``x0``.  Its block tree is
-    ``levels`` deep."""
-    step = SCALE // (levels + 2)
-    domain = [f"x{i}" for i in range(levels)]
-    degrees = {x: Degree.from_scaled((i + 1) * step) for i, x in enumerate(domain)}
-    if degree_of_a is not None:
-        degrees["x0"] = degree_of_a
-    if degree_of_x1 is not None:
-        degrees["x1"] = degree_of_x1
-    return make_interpretation(Signature(("A",), ("r",), ("a",)), domain, {"a": "x0"}, {"A": degrees})
 
 
 class TestDeepInputs:
