@@ -131,6 +131,48 @@ def _flatten(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[Labels, Edges, int]:
     return labels, out, len(roles)
 
 
+def _reach(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[Labels, Edges, int, List[int]]:
+    """``_flatten`` cut down to the vertices the seeds reach over the edges,
+    plus each vertex's number there (-1 if not reached).  Vertices are
+    numbered breadth first: the seeds in order, then the targets of each
+    numbered vertex's edges as listed.  Labels and edges come in
+    ``_flatten``'s order, read straight off the graphs' rows, so a vertex
+    that is not reached costs nothing beyond the O(n) numbering.
+    """
+    tokens, roles = graphs[0].vertex_labels, graphs[0].edge_labels
+    sides, owner = [], []
+    for g in graphs:
+        sides.append((len(owner), [g.labels[token]._entries for token in tokens],
+                      [g.edges[role]._fwd.get for role in roles]))  # a row by one dict lookup
+        owner.extend([len(sides) - 1] * g.n)
+    index = [-1] * len(owner)
+    reached: List[int] = []
+    for v in seeds:
+        if index[v] < 0:
+            index[v] = len(reached)
+            reached.append(v)
+    labels: Labels = []
+    out: Edges = []
+    for v in reached:  # the list grows while it is walked
+        shift, label_rows, rows = sides[owner[v]]
+        x = v - shift
+        lab = []
+        for t, row in enumerate(label_rows):
+            if x in row:
+                lab.append((t, row[x].scaled))
+        labels.append(lab)
+        edges = []
+        for r, successors in enumerate(rows):
+            for y, d in successors(x, ()):
+                y += shift
+                if index[y] < 0:
+                    index[y] = len(reached)
+                    reached.append(y)
+                edges.append((d.scaled, r, index[y]))
+        out.append(edges)
+    return labels, out, len(roles), index
+
+
 def _split(
     block: List[int],
     size: List[int],
@@ -323,28 +365,22 @@ def bisimilarity_degree(
     Z(x, x') depends only on the part of the union that x and x' reach over
     its edges, inverse roles included (bisimulation is invariant under
     generated subinterpretations), so only the vertices the individuals
-    reach are refined, and each degree is read off the cuts: the last level
-    whose cut still holds both vertices in one class.
+    reach are encoded (``_reach``) and refined, and each degree is read off
+    the cuts: the last level whose cut still holds both vertices in one
+    class.  Like the reduction it checks, whose links cost O(log l) each for
+    l distinct role degrees (the paper's O(m log l)), it costs nothing per
+    element that no individual reaches, beyond an O(n) numbering.
     """
-    labels, out, nroles = _union_graph(interp1, interp2, features)
+    if not interp1.signature.same_names(interp2.signature):
+        raise ValueError("interpretations use different signatures")
+    fs = normalize_features(features)
     n1 = interp1.n
     pairs = [
         (interp1.individual_element(a), n1 + interp2.individual_element(a))
         for a in interp1.signature.individual_names
     ]
-    index: Dict[int, int] = {}  # reached vertex -> its number in the subgraph
-    for x, xp in pairs:
-        index.setdefault(x, len(index))
-        index.setdefault(xp, len(index))
-    reached = list(index)
-    for v in reached:  # breadth first: the list grows while it is walked
-        for _, _, y in out[v]:
-            if y not in index:
-                index[y] = len(index)
-                reached.append(y)
-    # rebinding frees the whole union before the refinement allocates
-    labels = [labels[v] for v in reached]
-    out = [[(d, r, index[y]) for d, r, y in out[v]] for v in reached]
+    graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
+    labels, out, nroles, index = _reach(graphs, [v for pair in pairs for v in pair])
     levels, cuts, _ = _refine(labels, out, nroles)
 
     def degree(u: int, v: int) -> Degree:
@@ -398,88 +434,100 @@ def check_bisimulation(
          {x: d.scaled for x, d in interp2.concept_set(c).items()})
         for c in sig.concept_names
     ]
+    # each pair compares two tuples of scaled concept degrees: the second
+    # side's built once per element, the first side's once per row of Z
+    sets1 = [set1 for _, set1, _ in concepts]
+    profile2 = {xp: tuple([set2.get(xp, 0) for _, _, set2 in concepts])
+                for xp in set().union(*z_rows.values())}
+    # successor rows fetched by one dict lookup each, not a method call
     roles = [
-        (role, interp1.basic_role_relation(role), interp2.basic_role_relation(role))
+        (role, interp1.basic_role_relation(role)._fwd, interp2.basic_role_relation(role)._fwd)
         for role in basic_roles(sig, fs)
     ]
+    nominals = "O" in fs
 
     def marks(interp: FuzzyInterpretation) -> Dict[int, Set[int]]:
         """Element -> positions of the individual names that mark it."""
         got: Dict[int, Set[int]] = {}
-        if "O" in fs:
+        if nominals:
             for i, a in enumerate(sig.individual_names):
                 got.setdefault(interp.individual_element(a), set()).add(i)
         return got
 
     marks1, marks2 = marks(interp1), marks(interp2)
     unmarked: Set[int] = set()
+    names1, names2 = interp1.domain, interp2.domain  # looked up only to report
     unrelated: Dict[int, int] = {}
     out: List[BisimViolation] = []
     for x, z_row in z_rows.items():
-        name_x = interp1.element_name(x)
+        profile_x = tuple([set1.get(x, 0) for set1 in sets1])
+        rows_x = [(role, fwd1.get(x, ()), fwd2) for role, fwd1, fwd2 in roles]
         for xp, z in z_row.items():
-            name_xp = interp2.element_name(xp)
-            for cname, set1, set2 in concepts:
-                a, b = set1.get(x, 0), set2.get(xp, 0)
-                bound = SCALE if a == b else min(a, b)
-                if z > bound:
-                    out.append(
-                        BisimViolation(
-                            1, name_x, name_xp, None, cname,
-                            f"Z={Degree.from_scaled(z)} exceeds label bound "
-                            f"{Degree.from_scaled(bound)} for concept {cname}",
+            if profile_x != profile2[xp]:  # equal degrees bound nothing
+                for cname, set1, set2 in concepts:
+                    a, b = set1.get(x, 0), set2.get(xp, 0)
+                    bound = SCALE if a == b else a if a < b else b
+                    if z > bound:
+                        out.append(
+                            BisimViolation(
+                                1, names1[x], names2[xp], None, cname,
+                                f"Z={Degree.from_scaled(z)} exceeds label bound "
+                                f"{Degree.from_scaled(bound)} for concept {cname}",
+                            )
                         )
-                    )
-            for role, rel1, rel2 in roles:
-                succ1, succ2 = rel1.successors(x), rel2.successors(xp)
+            for role, succ1, fwd2 in rows_x:
+                succ2 = fwd2.get(xp, ())
                 # each max stops once it reaches lhs: only a best below lhs is reported
                 for y, dxy in succ1:
-                    lhs = min(z, dxy.scaled)
+                    lhs = z if z < dxy.scaled else dxy.scaled
                     z_y = z_rows.get(y, unrelated)
                     best = 0
                     for yp, dxpyp in succ2:
                         cand = z_y.get(yp, 0)
                         if cand > best:  # most are 0: test before taking the min
-                            cand = min(cand, dxpyp.scaled)
+                            if dxpyp.scaled < cand:
+                                cand = dxpyp.scaled
                             if cand > best:
                                 best = cand
                                 if best >= lhs:
                                     break
                     if lhs > best:
-                        name_y = interp1.element_name(y)
+                        name_y = names1[y]
                         out.append(
                             BisimViolation(
-                                2, name_x, name_xp, role, name_y,
+                                2, names1[x], names2[xp], role, name_y,
                                 f"forward transfer over {role} to {name_y}: "
                                 f"{Degree.from_scaled(lhs)} > {Degree.from_scaled(best)}",
                             )
                         )
                 for yp, dxpyp in succ2:
-                    lhs = min(z, dxpyp.scaled)
+                    lhs = z if z < dxpyp.scaled else dxpyp.scaled
                     best = 0
                     for y, dxy in succ1:
                         cand = z_rows.get(y, unrelated).get(yp, 0)
                         if cand > best:
-                            cand = min(cand, dxy.scaled)
+                            if dxy.scaled < cand:
+                                cand = dxy.scaled
                             if cand > best:
                                 best = cand
                                 if best >= lhs:
                                     break
                     if lhs > best:
-                        name_yp = interp2.element_name(yp)
+                        name_yp = names2[yp]
                         out.append(
                             BisimViolation(
-                                3, name_x, name_xp, role, name_yp,
+                                3, names1[x], names2[xp], role, name_yp,
                                 f"backward transfer over {role} to {name_yp}: "
                                 f"{Degree.from_scaled(lhs)} > {Degree.from_scaled(best)}",
                             )
                         )
-            for i in sorted(marks1.get(x, unmarked) ^ marks2.get(xp, unmarked)):
-                a = sig.individual_names[i]
-                out.append(
-                    BisimViolation(
-                        4, name_x, name_xp, None, a,
-                        f"Z={Degree.from_scaled(z)} but the name {a} marks only one side",
+            if nominals:
+                for i in sorted(marks1.get(x, unmarked) ^ marks2.get(xp, unmarked)):
+                    a = sig.individual_names[i]
+                    out.append(
+                        BisimViolation(
+                            4, names1[x], names2[xp], None, a,
+                            f"Z={Degree.from_scaled(z)} but the name {a} marks only one side",
+                        )
                     )
-                )
     return out

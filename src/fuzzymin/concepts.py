@@ -341,83 +341,71 @@ def parse_role(text: str, signature: Signature) -> Role:
 # --------------------------------------------------------------------------
 
 _C_IMPLIES, _C_OR, _C_AND, _C_QUANT, _C_ATOM = range(5)
-_R_UNION, _R_COMP, _R_PREFIX, _R_POSTFIX, _R_PRIMARY = range(5)
+_R_UNION, _R_COMP, _R_PREFIX, _R_POSTFIX = range(4)
 
-
-def _concept_level(node: Concept) -> int:
-    if isinstance(node, Implies):
-        return _C_IMPLIES
-    if isinstance(node, Or):
-        return _C_OR
-    if isinstance(node, And):
-        return _C_AND
-    if isinstance(node, (Exists, Forall)):
-        return _C_QUANT
-    return _C_ATOM
-
-
-def _role_level(node: Role) -> int:
-    if isinstance(node, RoleUnion):
-        return _R_UNION
-    if isinstance(node, RoleCompose):
-        return _R_COMP
-    if isinstance(node, RoleInverse):
-        return _R_PREFIX
-    if isinstance(node, RoleStar):
-        return _R_POSTFIX
-    return _R_PRIMARY
+# binding level of each operator node; names, constants, nominals and tests
+# bind tightest, at _C_ATOM
+_LEVEL = {
+    Implies: _C_IMPLIES, Or: _C_OR, And: _C_AND, Exists: _C_QUANT, Forall: _C_QUANT,
+    RoleUnion: _R_UNION, RoleCompose: _R_COMP, RoleInverse: _R_PREFIX, RoleStar: _R_POSTFIX,
+}
 
 
 def concept_to_text(node: Concept) -> str:
-    return _print_concept(node, _C_IMPLIES)
+    return _to_text(node, _C_IMPLIES)
 
 
 def role_to_text(node: Role) -> str:
-    return _print_role(node, _R_UNION)
+    return _to_text(node, _R_UNION)
 
 
-def _print_concept(node: Concept, required: int) -> str:
+def _pieces(node) -> list:
+    """A node's text as strings and (child, binding level the child needs)."""
     if isinstance(node, Constant):
-        text = str(node.degree)
-    elif isinstance(node, ConceptName):
-        text = node.name
-    elif isinstance(node, Nominal):
-        text = "{" + node.name + "}"
-    elif isinstance(node, Implies):
-        text = f"{_print_concept(node.left, _C_OR)} -> {_print_concept(node.right, _C_IMPLIES)}"
-    elif isinstance(node, Or):
-        text = f"{_print_concept(node.left, _C_OR)} or {_print_concept(node.right, _C_AND)}"
-    elif isinstance(node, And):
-        text = f"{_print_concept(node.left, _C_AND)} and {_print_concept(node.right, _C_QUANT)}"
-    elif isinstance(node, Exists):
-        text = f"exists {_print_role(node.role, _R_UNION)} . {_print_concept(node.body, _C_QUANT)}"
-    elif isinstance(node, Forall):
-        text = f"forall {_print_role(node.role, _R_UNION)} . {_print_concept(node.body, _C_QUANT)}"
-    else:
-        raise TypeError(f"not a concept node: {node!r}")
-    if _concept_level(node) < required:
-        return f"({text})"
-    return text
+        return [str(node.degree)]
+    if isinstance(node, (ConceptName, RoleName)):
+        return [node.name]
+    if isinstance(node, Nominal):
+        return ["{" + node.name + "}"]
+    if isinstance(node, Implies):
+        return [(node.left, _C_OR), " -> ", (node.right, _C_IMPLIES)]
+    if isinstance(node, Or):
+        return [(node.left, _C_OR), " or ", (node.right, _C_AND)]
+    if isinstance(node, And):
+        return [(node.left, _C_AND), " and ", (node.right, _C_QUANT)]
+    if isinstance(node, (Exists, Forall)):
+        word = "exists " if isinstance(node, Exists) else "forall "
+        return [word, (node.role, _R_UNION), " . ", (node.body, _C_QUANT)]
+    if isinstance(node, RoleUnion):
+        return [(node.left, _R_UNION), " | ", (node.right, _R_COMP)]
+    if isinstance(node, RoleCompose):
+        return [(node.left, _R_COMP), " ; ", (node.right, _R_PREFIX)]
+    if isinstance(node, RoleInverse):
+        return ["inv ", (node.inner, _R_PREFIX)]
+    if isinstance(node, RoleStar):
+        return [(node.inner, _R_POSTFIX), "*"]
+    if isinstance(node, RoleTest):
+        return [(node.concept, _C_ATOM), "?"]
+    raise TypeError(f"not a concept or role node: {node!r}")
 
 
-def _print_role(node: Role, required: int) -> str:
-    if isinstance(node, RoleName):
-        text = node.name
-    elif isinstance(node, RoleUnion):
-        text = f"{_print_role(node.left, _R_UNION)} | {_print_role(node.right, _R_COMP)}"
-    elif isinstance(node, RoleCompose):
-        text = f"{_print_role(node.left, _R_COMP)} ; {_print_role(node.right, _R_PREFIX)}"
-    elif isinstance(node, RoleInverse):
-        text = f"inv {_print_role(node.inner, _R_PREFIX)}"
-    elif isinstance(node, RoleStar):
-        text = f"{_print_role(node.inner, _R_POSTFIX)}*"
-    elif isinstance(node, RoleTest):
-        text = f"{_print_concept(node.concept, _C_ATOM)}?"
-    else:
-        raise TypeError(f"not a role node: {node!r}")
-    if _role_level(node) < required:
-        return f"({text})"
-    return text
+def _to_text(root, required: int) -> str:
+    """The text of a tree, written left to right from an explicit stack, so
+    no tree is too deep to print; a node binding looser than its place
+    requires is parenthesized."""
+    out: List[str] = []
+    stack: list = [(root, required)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, required = item
+        pieces = _pieces(node)
+        if _LEVEL.get(type(node), _C_ATOM) < required:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -443,84 +431,104 @@ def _widest_paths(rows: ScaledRows, source: int) -> Dict[int, int]:
     return best
 
 
-# The per-call memo is keyed by node identity (a frozen node's hash re-hashes
-# its subtree); the root keeps every node, so every id, alive for the call.
-def _role_rows(node: Role, interp: FuzzyInterpretation, memo: Dict) -> ScaledRows:
-    got = memo.get(id(node))
-    if got is not None:
-        return got
+# each operator node's operands, in the order the printer writes them
+_OPERANDS = {
+    Or: ("left", "right"), And: ("left", "right"), Implies: ("left", "right"),
+    Exists: ("role", "body"), Forall: ("role", "body"),
+    RoleUnion: ("left", "right"), RoleCompose: ("left", "right"),
+    RoleStar: ("inner",), RoleInverse: ("inner",), RoleTest: ("concept",),
+}
+
+
+def _value(root, interp: FuzzyInterpretation):
+    """A concept's scaled values or a role's ``ScaledRows``.
+
+    Nodes are evaluated in post-order from an explicit stack, operands
+    before the node, so no tree is too deep to evaluate.  The memo is keyed
+    by node identity (a frozen node's hash re-hashes its subtree); the root
+    keeps every node, so every id, alive for the call.
+    """
+    memo: Dict[int, list] = {}
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in memo:
+            continue
+        names = _OPERANDS.get(type(node))
+        if names is None:
+            memo[id(node)] = _node_value(node, interp, ())
+        elif ready:
+            memo[id(node)] = _node_value(node, interp, [memo[id(getattr(node, name))] for name in names])
+        else:
+            stack.append((node, True))
+            for name in reversed(names):  # the left operand is evaluated first
+                stack.append((getattr(node, name), False))
+    return memo[id(root)]
+
+
+def _node_value(node, interp: FuzzyInterpretation, args: list):
+    """One node's value from its operands' values, in ``_OPERANDS`` order."""
+    n = interp.n
+    if isinstance(node, Constant):
+        return [node.degree.scaled] * n
+    if isinstance(node, ConceptName):
+        out = [0] * n
+        for x, d in interp.concept_set(node.name).items():
+            out[x] = d.scaled
+        return out
+    if isinstance(node, Nominal):
+        out = [0] * n
+        out[interp.individual_element(node.name)] = SCALE
+        return out
     if isinstance(node, RoleName):
-        out = interp.role_relation(node.name).scaled_rows()
-    elif isinstance(node, RoleUnion):
+        return interp.role_relation(node.name).scaled_rows()
+    if isinstance(node, Or):
+        return list(map(max, *args))
+    if isinstance(node, And):
+        return list(map(min, *args))
+    if isinstance(node, Implies):
+        return [SCALE if x <= y else y for x, y in zip(*args)]
+    if isinstance(node, Exists):
+        rows, c = args
+        # a missing successor has degree 0 and adds 0 to the supremum
+        return [max([d if d < c[y] else c[y] for y, d in row.items()], default=0) for row in rows]
+    if isinstance(node, Forall):
+        rows, c = args
+        # a missing successor has degree 0 and adds 1 (= 0 => c) to the infimum
+        return [min([SCALE if d <= c[y] else c[y] for y, d in row.items()], default=SCALE) for row in rows]
+    if isinstance(node, RoleUnion):
         out = []
-        for left, right in zip(_role_rows(node.left, interp, memo), _role_rows(node.right, interp, memo)):
+        for left, right in zip(*args):
             row = dict(left)
             for j, d in right.items():
                 if row.get(j, 0) < d:
                     row[j] = d
             out.append(row)
-    elif isinstance(node, RoleCompose):
-        out = _maxmin_rows(_role_rows(node.left, interp, memo), _role_rows(node.right, interp, memo))
-    elif isinstance(node, RoleStar):
-        inner = _role_rows(node.inner, interp, memo)
-        out = [_widest_paths(inner, x) for x in range(interp.n)]
-    elif isinstance(node, RoleTest):
-        out = [{x: v} if v else {} for x, v in enumerate(_concept_values(node.concept, interp, memo))]
-    elif isinstance(node, RoleInverse):
-        out = [{} for _ in range(interp.n)]
-        for i, row in enumerate(_role_rows(node.inner, interp, memo)):
+        return out
+    if isinstance(node, RoleCompose):
+        return _maxmin_rows(*args)
+    if isinstance(node, RoleStar):
+        inner, = args
+        return [_widest_paths(inner, x) for x in range(n)]
+    if isinstance(node, RoleTest):
+        values, = args
+        return [{x: v} if v else {} for x, v in enumerate(values)]
+    if isinstance(node, RoleInverse):
+        rows, = args
+        out = [{} for _ in range(n)]
+        for i, row in enumerate(rows):
             for j, d in row.items():
                 out[j][i] = d
-    else:
-        raise TypeError(f"not a role node: {node!r}")
-    memo[id(node)] = out
-    return out
-
-
-def _concept_values(node: Concept, interp: FuzzyInterpretation, memo: Dict) -> List[int]:
-    got = memo.get(id(node))
-    if got is not None:
-        return got
-    n = interp.n
-    if isinstance(node, Constant):
-        out = [node.degree.scaled] * n
-    elif isinstance(node, ConceptName):
-        out = [0] * n
-        for x, d in interp.concept_set(node.name).items():
-            out[x] = d.scaled
-    elif isinstance(node, Nominal):
-        out = [0] * n
-        out[interp.individual_element(node.name)] = SCALE
-    elif isinstance(node, Or):
-        out = list(map(max, _concept_values(node.left, interp, memo), _concept_values(node.right, interp, memo)))
-    elif isinstance(node, And):
-        out = list(map(min, _concept_values(node.left, interp, memo), _concept_values(node.right, interp, memo)))
-    elif isinstance(node, Implies):
-        a = _concept_values(node.left, interp, memo)
-        b = _concept_values(node.right, interp, memo)
-        out = [SCALE if x <= y else y for x, y in zip(a, b)]
-    elif isinstance(node, Exists):
-        rows = _role_rows(node.role, interp, memo)
-        c = _concept_values(node.body, interp, memo)
-        # a missing successor has degree 0 and adds 0 to the supremum
-        out = [max([d if d < c[y] else c[y] for y, d in row.items()], default=0) for row in rows]
-    elif isinstance(node, Forall):
-        rows = _role_rows(node.role, interp, memo)
-        c = _concept_values(node.body, interp, memo)
-        # a missing successor has degree 0 and adds 1 (= 0 => c) to the infimum
-        out = [min([SCALE if d <= c[y] else c[y] for y, d in row.items()], default=SCALE) for row in rows]
-    else:
-        raise TypeError(f"not a concept node: {node!r}")
-    memo[id(node)] = out
-    return out
+        return out
+    raise TypeError(f"not a concept or role node: {node!r}")
 
 
 def eval_role(node: Role, interp: FuzzyInterpretation) -> FuzzyRelation:
-    return _from_scaled_rows(_role_rows(node, interp, {}), interp.n)
+    return _from_scaled_rows(_value(node, interp), interp.n)
 
 
 def eval_concept(node: Concept, interp: FuzzyInterpretation) -> FuzzySet:
-    values = _concept_values(node, interp, {})
+    values = _value(node, interp)
     return FuzzySet._trusted(interp.n, {x: Degree.from_scaled(v) for x, v in enumerate(values) if v})
 
 
@@ -571,12 +579,12 @@ FuzzyAssertion = Union[ConceptAssertion, RoleAssertion, SameIndividual, Distinct
 def check_assertion(interp: FuzzyInterpretation, assertion: FuzzyAssertion) -> bool:
     if isinstance(assertion, ConceptAssertion):
         cmp = _COMPARATORS[assertion.relation]
-        values = _concept_values(assertion.concept, interp, {})
+        values = _value(assertion.concept, interp)
         value = Degree.from_scaled(values[interp.individual_element(assertion.individual)])
         return cmp(value, assertion.degree)
     if isinstance(assertion, RoleAssertion):
         cmp = _COMPARATORS[assertion.relation]
-        row = _role_rows(assertion.role, interp, {})[interp.individual_element(assertion.subject)]
+        row = _value(assertion.role, interp)[interp.individual_element(assertion.subject)]
         value = Degree.from_scaled(row.get(interp.individual_element(assertion.target), 0))
         return cmp(value, assertion.degree)
     if isinstance(assertion, SameIndividual):
@@ -732,8 +740,8 @@ def preservation_report(
     report = PreservationReport(samples=samples, depth=depth, gamma=gamma, min_agreement=ONE)
     for _ in range(samples):
         concept = random_concept(sig, features, FULL_FRAGMENT, depth, rng, pool)
-        v1 = _concept_values(concept, interp1, {})
-        v2 = _concept_values(concept, interp2, {})
+        v1 = _value(concept, interp1)
+        v2 = _value(concept, interp2)
         for a in sig.individual_names:
             left = Degree.from_scaled(v1[interp1.individual_element(a)])
             right = Degree.from_scaled(v2[interp2.individual_element(a)])

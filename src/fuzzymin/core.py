@@ -258,7 +258,8 @@ class FuzzyRelation:
         return self._fwd.get(i, ())
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Degree]]:
-        return iter(sorted(self._entries.items()))
+        keys = sorted(self._entries)  # sorting the pairs alone is cheaper than sorting items
+        return zip(keys, map(self._entries.__getitem__, keys))
 
     def support_size(self) -> int:
         return len(self._entries)

@@ -8,13 +8,20 @@ from the named individuals, a max-priority queue of outgoing role links drives
 discovery, and degree levels are processed in decreasing order.  Every role
 degree written into the output is the current level, so all output degrees lie
 in the processed level set (hence never above gamma).
+
+The queue is a bucket queue: one FIFO bucket per distinct role degree and a
+heap of the non-empty buckets' ranks, so a link costs O(log l) to push and to
+take, l being the number of distinct role degrees, which is the paper's
+O(m log l) for the reduction (not O(m log m) for a heap of links).  FIFO
+inside a bucket takes links of one degree in the order they were pushed.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .core import Degree, FuzzyRelation, FuzzySet, ONE, tnorm
 from .bisim import auto_partition
@@ -198,23 +205,32 @@ def approximate_minimize(
             )
             b = p
 
+    # roles by index; a link of degree e waits in bucket rank[e], the buckets
+    # ranked by descending degree, FIFO inside one, and ``active`` holds the
+    # ranks of the non-empty buckets
     roles_in_order = basic_roles(sig, fs)
-    adjacency = {role: interp.basic_role_relation(role) for role in roles_in_order}
+    relations = [interp.basic_role_relation(role) for role in roles_in_order]
+    inverse = [role.inverse for role in roles_in_order]
+    new_roles: Dict[str, Dict[Tuple[int, int], Degree]] = {r: {} for r in sig.role_names}
+    written = [new_roles[role.name] for role in roles_in_order]
+    ranked = sorted({d for rel in relations for d in rel.degrees()}, reverse=True)
+    rank = {d.scaled: i for i, d in enumerate(ranked)}
+    buckets: List[Deque[Tuple[int, int, int]]] = [deque() for _ in ranked]  # links (x, r, y)
+    active: List[int] = []
+    locate, claim = run.locate, run.claim
 
     added_order: List[int] = []
     trace = MinimizationTrace()
     new_individuals: Dict[str, int] = {}
-    new_roles: Dict[str, Dict[Tuple[int, int], Degree]] = {r: {} for r in sig.role_names}
-
-    heap: List[Tuple[int, int, int, BasicRole, int]] = []
-    seq = 0
 
     def push_out_edges(x: int) -> None:
-        nonlocal seq
-        for role in roles_in_order:
-            for y, d in adjacency[role].successors(x):
-                heapq.heappush(heap, (-d.scaled, seq, x, role, y))
-                seq += 1
+        for r, rel in enumerate(relations):
+            for y, d in rel.successors(x):
+                i = rank[d.scaled]
+                bucket = buckets[i]
+                if not bucket:
+                    heapq.heappush(active, i)
+                bucket.append((x, r, y))
 
     def add_element(x: int, level: Degree, via_x: Optional[int], via_role: Optional[BasicRole]) -> None:
         added_order.append(x)
@@ -230,11 +246,11 @@ def approximate_minimize(
     # seed from the named individuals
     for a in sig.individual_names:
         ax = interp.individual_element(a)
-        block = run.locate(ax, gamma.scaled)
+        block = locate(ax, gamma.scaled)
         if keeper[block] < 0:
             add_element(ax, gamma, None, None)
             new_individuals[a] = ax
-            run.claim(block, ax)
+            claim(block, ax)
             if narrate is not None:
                 narrate(f"seed {a} -> {name(ax)} (new)")
         else:
@@ -250,30 +266,37 @@ def approximate_minimize(
     levels = compute_D(interp, gamma)
     trace.degree_levels = list(levels)
 
+    reached = 0  # buckets ranked below ``reached`` hold degrees >= the level
     for d in levels:
         if narrate is not None:
             narrate(f"level d={d}")
-        floor = -d.scaled
-        while heap and heap[0][0] <= floor:
-            key, _, x, role, y = heapq.heappop(heap)
+        level = d.scaled
+        while reached < len(ranked) and ranked[reached].scaled >= level:
+            reached += 1
+        while active and active[0] < reached:
+            i = active[0]
+            bucket = buckets[i]
+            x, r, y = bucket.popleft()
+            if not bucket:
+                heapq.heappop(active)
             if narrate is not None:
-                narrate(f"  take <{name(x)},{role},{name(y)}> priority={Degree.from_scaled(-key)}")
-            block = run.locate(y, d.scaled)
+                narrate(f"  take <{name(x)},{roles_in_order[r]},{name(y)}> priority={ranked[i]}")
+            block = locate(y, level)
             if keeper[block] < 0:
-                add_element(y, d, x, role)
-                run.claim(block, y)
+                add_element(y, d, x, roles_in_order[r])
+                claim(block, y)
                 push_out_edges(y)
                 if narrate is not None:
                     narrate(f"  add {name(y)}; block degree {run.blocks[block].degree} keeper := {name(y)}")
             if debug_checks:
                 check_block(block)
             # the role entry between x and y's keeper, at the first level that reaches it
-            src, dst = (keeper[block], x) if role.inverse else (x, keeper[block])
-            bucket = new_roles[role.name]
-            if (src, dst) not in bucket:
-                bucket[src, dst] = d
+            src, dst = (keeper[block], x) if inverse[r] else (x, keeper[block])
+            entries = written[r]
+            if (src, dst) not in entries:
+                entries[src, dst] = d
                 if narrate is not None:
-                    narrate(f"  set {role.name}({name(src)},{name(dst)}) := {d}")
+                    narrate(f"  set {roles_in_order[r].name}({name(src)},{name(dst)}) := {d}")
 
     # assemble the reduced interpretation, keeping original names and order;
     # every entry is a nonzero Degree under a distinct pair of kept elements
@@ -295,10 +318,10 @@ def approximate_minimize(
 
     roles: Dict[str, FuzzyRelation] = {}
     for rname in sig.role_names:
-        bucket = new_roles[rname]
-        if not bucket:
+        found = new_roles[rname]
+        if not found:
             continue
-        entries = {(old_to_new[x], old_to_new[y]): deg for (x, y), deg in bucket.items()}
+        entries = {(old_to_new[x], old_to_new[y]): deg for (x, y), deg in found.items()}
         roles[rname] = FuzzyRelation._trusted(n1, n1, entries)
 
     reduced = FuzzyInterpretation(

@@ -437,3 +437,17 @@ class TestDeepInputs:
         assert (status, err) == (0, "")
         _, reduced = parse_interpretation(outfile.read_text())
         assert list(reduced.domain) == ["x0"]
+
+    @pytest.mark.parametrize("op", ["and", "or"])
+    def test_flat_concept_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys, op):
+        # the parser reads a flat chain in a loop into a left-nested tree
+        # 5000 deep; the evaluator and the printer walk it without recursing
+        infile = tmp_path / "in.txt"
+        infile.write_text(TWIN_FILE)
+        outputs = []
+        for terms in (2, 5000):
+            status, out, err = run_cli(
+                capsys, ["eval", "--concept", f" {op} ".join(["A"] * terms), "--in", str(infile)])
+            assert (status, err) == (0, "")
+            outputs.append(out)
+        assert outputs[1] == outputs[0] == "v1:0.7\nv2:0.8\nv3:0.9\nv1':0.7\nv2':0.8\n"

@@ -108,6 +108,14 @@ class TestParser:
             assert parse_concept(text, SIG) == concept
             assert concept_to_text(parse_concept(text, SIG)) == text
 
+    def test_print_parse_round_trip_on_flat_chains(self):
+        # 5000 deep once parsed, past the interpreter's recursion limit
+        for op in ("and", "or"):
+            text = f" {op} ".join(["A"] * 5000)
+            concept = parse_concept(text, SIG)
+            assert concept_to_text(concept) == text
+            assert concept_to_text(parse_concept(concept_to_text(concept), SIG)) == text
+
 
 class TestEvalRole:
     def test_star_finds_two_step_path(self):
