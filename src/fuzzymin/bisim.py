@@ -12,13 +12,16 @@ that were not re-signed, even when they are the smaller group, so the
 "process the smaller half" bound of Paige & Tarjan (SIAM J. Comput. 1987)
 does not hold here (ROADMAP.md, open item 1, "Refinement at the paper's
 bound").  That chain of partitions is the compact fuzzy partition; no n x n
-matrix is built.  The greatest bisimulation between two interpretations is
-the auto-bisimulation of their disjoint union, restricted to the pairs
-across the two.  The bisimilarity degree needs it only at the named
-individuals, and bisimulation is invariant under generated
-subinterpretations, so it refines just the part of the union the
+matrix is built, and no cut is copied: class ids are never reused, so the
+engine keeps one class array and a split log (``partition.SplitLog``), each
+new class's origin and birth level, from which ``partition_from_log``
+builds the block tree.  The greatest bisimulation between two
+interpretations is the auto-bisimulation of their disjoint union,
+restricted to the pairs across the two.  The bisimilarity degree needs it
+only at the named individuals, and bisimulation is invariant under
+generated subinterpretations, so it refines just the part of the union the
 individuals reach over the edges (inverse roles are edges too) and reads
-each degree off the cuts, without building a block tree.
+each degree off the split log, without building a block tree.
 
 ``check_bisimulation`` is the oracle for all of this: it tests a relation
 against the four defining conditions directly and shares no code with the
@@ -50,7 +53,7 @@ from .model import (
     basic_roles,
     normalize_features,
 )
-from .partition import CompactFuzzyPartition, partition_from_cuts
+from .partition import CompactFuzzyPartition, SplitLog, partition_from_log
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,10 @@ def _flatten(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[Labels, Edges, int]:
     roles.  Tokens and roles are numbered in the first graph's order.
 
     A nominal label marks one vertex in each copy, which is why a union is
-    built here and not as an interpretation.
+    built here and not as an interpretation.  A vertex's labels come in
+    token order and its edges in role order, each role's by target (the
+    order of a relation's rows), so the sets and relations are read
+    unsorted: the vertices' order among themselves changes no vertex's list.
     """
     tokens, roles = graphs[0].vertex_labels, graphs[0].edge_labels
     labels: Labels = []
@@ -123,11 +129,13 @@ def _flatten(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[Labels, Edges, int]:
         labels.extend([] for _ in range(g.n))
         out.extend([] for _ in range(g.n))
         for t, token in enumerate(tokens):
-            for v, d in g.labels[token].items():
+            for v, d in g.labels[token]._entries.items():
                 labels[shift + v].append((t, d.scaled))
         for r, role in enumerate(roles):
-            for (x, y), d in g.edges[role].items():
-                out[shift + x].append((d.scaled, r, shift + y))
+            for x, row in g.edges[role]._fwd.items():
+                edges = out[shift + x]
+                for y, d in row:
+                    edges.append((d.scaled, r, shift + y))
     return labels, out, len(roles)
 
 
@@ -179,6 +187,9 @@ def _split(
     shared: List[Optional[frozenset]],
     keys: Dict[int, Hashable],
     signed: bool,
+    origin: List[int],
+    born: List[int],
+    level: int,
 ) -> List[int]:
     """Split classes by ``keys``, given for some of their members; returns
     the vertices that changed class.
@@ -186,40 +197,65 @@ def _split(
     Members without a key hold one key together: the class's ``shared``
     signature when ``signed``, otherwise a key that no keyed member holds.
     That group keeps the class id; when every member has a key, the largest
-    group keeps it.  The other groups get fresh ids.  A new class's shared
+    group keeps it.  The other groups get fresh ids, logged with their
+    birth ``level`` and origin (see ``SplitLog``).  A new class's shared
     signature is its key when ``signed`` and its parent's otherwise.
     """
     groups: Dict[int, Dict[Hashable, List[int]]] = {}
     for v, key in keys.items():
-        groups.setdefault(block[v], {}).setdefault(key, []).append(v)
+        c = block[v]
+        by_key = groups.get(c)
+        if by_key is None:
+            groups[c] = {key: [v]}
+        else:
+            vs = by_key.get(key)
+            if vs is None:
+                by_key[key] = [v]
+            else:
+                vs.append(v)
     moved: List[int] = []
     for c, by_key in groups.items():
-        if sum(map(len, by_key.values())) == size[c]:
-            keep = max(by_key, key=lambda k: len(by_key[k]))
-            if signed:
-                shared[c] = keep
+        if len(by_key) == 1:
+            [(key, vs)] = by_key.items()
+            if len(vs) == size[c] or (signed and key == shared[c]):
+                if signed:
+                    shared[c] = key
+                continue
         else:
-            keep = shared[c] if signed else None
-        by_key.pop(keep, None)
+            keyed, keep, most = 0, None, 0
+            for key, vs in by_key.items():
+                keyed += len(vs)
+                if len(vs) > most:
+                    keep, most = key, len(vs)
+            if keyed == size[c]:
+                if signed:
+                    shared[c] = keep
+            else:
+                keep = shared[c] if signed else None
+            by_key.pop(keep, None)
+        # the class that held the new ones in the previous level's cut
+        held = c if born[c] < level else origin[c]
         for key, vs in by_key.items():
             new = len(size)
             size.append(len(vs))
             size[c] -= len(vs)
             shared.append(key if signed else shared[c])
+            origin.append(held)
+            born.append(level)
             for v in vs:
                 block[v] = new
             moved.extend(vs)
     return moved
 
 
-def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[List[Degree], List[List[int]], int]:
+def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[SplitLog, int]:
     """The d-cuts of the greatest fuzzy auto-bisimulation of a graph given as
-    per-vertex label and edge lists (see ``_flatten``).
+    per-vertex label and edge lists (see ``_flatten``), as a split log.
 
-    Returns the degree levels in ascending order (the last one is 1), the
-    class of every vertex in each level's cut, and the signature rounds
-    summed over all levels, each level's final round that splits nothing
-    included.
+    Returns the log (see ``SplitLog``: the degree levels in ascending order,
+    the last one 1, each vertex's final class, and each class's origin and
+    birth level) and the signature rounds summed over all levels, each
+    level's final round that splits nothing included.
 
     Level d starts from the previous level's cut and splits it by the vertex
     labels thresholded at d (every value >= d counts alike).  Each round then
@@ -234,9 +270,9 @@ def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[List[Degree], List
     changed class since their last signature, and, at a level's start, the
     sources of the edges that stopped being live.  Every other member of a
     class still holds the class's shared signature.  Class ids are stable
-    (see ``_split``), so a level costs O(n) for its cut plus time in
-    proportion to the vertices that change class and the edges around them,
-    not O(n + m) per round.
+    (see ``_split``) and a new class costs two log entries, so a level costs
+    time in proportion to the vertices that change class and the edges
+    around them, not O(n + m) per round, and no cut is ever copied.
     """
     n = len(labels)
     labels_at: Dict[int, List[Tuple[int, int]]] = {}  # degree -> [(vertex, token)]
@@ -259,18 +295,17 @@ def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[List[Degree], List
     for c in block:
         size[c] += 1
     shared: List[Optional[frozenset]] = [None] * len(first)
+    origin, born = [-1] * len(first), [0] * len(first)
     dirty = set(range(n))
-    cuts: List[List[int]] = []
     rounds = 0
-    prev = None
-    for d in levels:
-        if prev is not None:
+    for k, d in enumerate(levels):
+        if k:
             # a label equal to the previous level no longer counts as >= d
             dropped: Dict[int, Tuple[int, ...]] = {}
-            for v, t in labels_at.get(prev, ()):
+            for v, t in labels_at.get(levels[k - 1], ()):
                 dropped[v] = dropped.get(v, ()) + (t,)
-            moved = _split(block, size, shared, dropped, False)
-            dirty = set(sources_at.get(prev, ()))
+            moved = _split(block, size, shared, dropped, False, origin, born, k)
+            dirty = set(sources_at.get(levels[k - 1], ()))
             dirty.update(x for y in moved for e, x in pred[y] if e >= d)
         while True:
             rounds += 1
@@ -279,13 +314,11 @@ def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[List[Degree], List
                 for v in dirty
                 if size[block[v]] > 1  # a class of one cannot split
             }
-            moved = _split(block, size, shared, sigs, True)
+            moved = _split(block, size, shared, sigs, True, origin, born, k)
             if not moved:
                 break
             dirty = {x for y in moved for e, x in pred[y] if e >= d}
-        cuts.append(block[:])
-        prev = d
-    return [Degree.from_scaled(d) for d in levels], cuts, rounds
+    return SplitLog([Degree.from_scaled(d) for d in levels], block, origin, born), rounds
 
 
 def auto_partition(
@@ -293,8 +326,8 @@ def auto_partition(
 ) -> Tuple[CompactFuzzyPartition, int]:
     """Compact fuzzy partition of the greatest fuzzy auto-bisimulation, and
     the number of signature rounds it took."""
-    levels, cuts, rounds = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
-    return partition_from_cuts(levels, cuts, interp.domain), rounds
+    log, rounds = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
+    return partition_from_log(log, interp.domain), rounds
 
 
 def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = None) -> CompactFuzzyPartition:
@@ -308,8 +341,8 @@ def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = No
         raise ValueError("a fuzzy equivalence must be square")
     n = phi.rows
     labels = [[(y, d.scaled) for y, d in phi.successors(x)] for x in range(n)]
-    levels, cuts, _ = _refine(labels, [()] * n, 0)  # no edges, no roles
-    tree = partition_from_cuts(levels, cuts, [str(i) for i in range(n)] if names is None else names)
+    log, _ = _refine(labels, [()] * n, 0)  # no edges, no roles
+    tree = partition_from_log(log, [str(i) for i in range(n)] if names is None else names)
     for x in range(n):
         row: Dict[int, int] = {}
         for degree, elems in tree.row(x):
@@ -343,8 +376,8 @@ def greatest_bisimulation(
     if interp1 is interp2:
         partition, rounds = auto_partition(interp1, features)
         return BisimResult(partition.to_equivalence(), rounds)
-    levels, cuts, rounds = _refine(*_union_graph(interp1, interp2, features))
-    partition = partition_from_cuts(levels, cuts, interp1.domain + interp2.domain)
+    log, rounds = _refine(*_union_graph(interp1, interp2, features))
+    partition = partition_from_log(log, interp1.domain + interp2.domain)
     n1 = interp1.n
     return BisimResult(partition.relation(range(n1), range(n1, partition.n)), rounds)
 
@@ -366,10 +399,11 @@ def bisimilarity_degree(
     its edges, inverse roles included (bisimulation is invariant under
     generated subinterpretations), so only the vertices the individuals
     reach are encoded (``_reach``) and refined, and each degree is read off
-    the cuts: the last level whose cut still holds both vertices in one
-    class.  Like the reduction it checks, whose links cost O(log l) each for
-    l distinct role degrees (the paper's O(m log l)), it costs nothing per
-    element that no individual reaches, beyond an O(n) numbering.
+    the split log (``SplitLog.degree``): the last level whose cut still
+    holds both vertices in one class.  Like the reduction it checks, whose
+    links cost O(log l) each for l distinct role degrees (the paper's
+    O(m log l)), it costs nothing per element that no individual reaches,
+    beyond an O(n) numbering.
     """
     if not interp1.signature.same_names(interp2.signature):
         raise ValueError("interpretations use different signatures")
@@ -381,15 +415,8 @@ def bisimilarity_degree(
     ]
     graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
     labels, out, nroles, index = _reach(graphs, [v for pair in pairs for v in pair])
-    levels, cuts, _ = _refine(labels, out, nroles)
-
-    def degree(u: int, v: int) -> Degree:
-        for k, cut in enumerate(cuts):
-            if cut[u] != cut[v]:
-                return levels[k - 1] if k else ZERO
-        return ONE
-
-    return min(degree(index[x], index[xp]) for x, xp in pairs)
+    log, _ = _refine(labels, out, nroles)
+    return min(log.degree(index[x], index[xp]) for x, xp in pairs)
 
 
 # --------------------------------------------------------------------------

@@ -322,18 +322,27 @@ class _Parser:
         self.fail(f"expected a role, found {tok.text or 'end of input'!r}")
 
 
-def parse_concept(text: str, signature: Signature) -> Concept:
+def _parse(
+    text: str, signature: Signature, start: Callable[[_Parser], Union[Concept, Role]]
+) -> Union[Concept, Role]:
+    """Run the parser from ``start`` over the whole text.  The parser
+    recurses once per nesting level, so input nested past the interpreter's
+    recursion limit is reported as a parse error, not a crash."""
     parser = _Parser(text, signature)
-    node = parser.concept()
+    try:
+        node = start(parser)
+    except RecursionError:
+        raise ConceptParseError("expression nested too deeply", parser.peek().pos) from None
     parser.expect("eof")
     return node
+
+
+def parse_concept(text: str, signature: Signature) -> Concept:
+    return _parse(text, signature, _Parser.concept)
 
 
 def parse_role(text: str, signature: Signature) -> Role:
-    parser = _Parser(text, signature)
-    node = parser.role()
-    parser.expect("eof")
-    return node
+    return _parse(text, signature, _Parser.role)
 
 
 # --------------------------------------------------------------------------

@@ -123,15 +123,13 @@ class _Run:
     b; ``keeper[b]`` is the element kept for b, -1 while b is unclaimed.
     """
 
-    __slots__ = ("blocks", "parent", "scaled", "leaf", "up", "keeper")
+    __slots__ = ("parent", "scaled", "leaf", "up", "keeper")
 
     def __init__(self, partition: CompactFuzzyPartition):
-        self.blocks = list(partition.blocks())
-        self.parent = [-1 if b.parent is None else b.parent.id for b in self.blocks]
-        self.scaled = [b.degree.scaled for b in self.blocks]
-        self.leaf = [b.id for b in partition.leaf_of]
-        self.up = list(range(len(self.blocks)))
-        self.keeper = [-1] * len(self.blocks)
+        # the tree's own arrays, only read
+        self.parent, self.scaled, self.leaf = partition.parent, partition.scaled, partition.leaf
+        self.up = list(range(len(self.parent)))
+        self.keeper = [-1] * len(self.parent)
 
     def locate(self, x: int, d: int) -> int:
         """The block on x's root path with the least degree >= d (scaled).
@@ -197,7 +195,9 @@ def approximate_minimize(
 
     def check_block(b: int) -> None:
         if keeper[b] >= 0:
-            assert partition.contains(run.blocks[b], keeper[b]), "representative left its block"
+            assert partition.lo[b] <= partition.pos[keeper[b]] < partition.hi[b], (
+                "representative left its block"
+            )
         while run.parent[b] >= 0:
             p = run.parent[b]
             assert not (keeper[p] < 0 and keeper[b] >= 0), (
@@ -287,7 +287,7 @@ def approximate_minimize(
                 claim(block, y)
                 push_out_edges(y)
                 if narrate is not None:
-                    narrate(f"  add {name(y)}; block degree {run.blocks[block].degree} keeper := {name(y)}")
+                    narrate(f"  add {name(y)}; block degree {partition.degrees[block]} keeper := {name(y)}")
             if debug_checks:
                 check_block(block)
             # the role entry between x and y's keeper, at the first level that reaches it

@@ -4,8 +4,11 @@ differential tests against ``fuzzymin.bisim``.
 - ``greatest_bisimulation_reference`` is a small order-parameterized
   refinement engine over the pairs of the two domains; it shares no code
   with the level-wise signature engine.
+- ``cuts_from_log`` expands the engine's split log into the class of every
+  vertex at every level.
 - ``bisimilarity_degree_reference`` refines the whole disjoint union and
-  builds its block tree, then reads the degree at each individual pair.
+  builds its block tree from the cuts with the recursive reference builder,
+  then reads the degree at each individual pair.
 - ``check_bisimulation_reference`` tests the four defining conditions with a
   ``Degree`` lookup per pair of successors and scans every individual name
   for condition (4).
@@ -18,7 +21,20 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from fuzzymin.bisim import BisimViolation, _flatten, _refine, to_fuzzy_graph
 from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, biresiduum, tnorm
 from fuzzymin.model import FuzzyInterpretation, basic_roles, normalize_features
-from fuzzymin.partition import partition_from_cuts
+from fuzzymin.partition import SplitLog
+from partition_reference import partition_from_cuts_reference
+
+
+def cuts_from_log(log: SplitLog) -> List[List[int]]:
+    """The class of every vertex in each level's cut: the members of a class
+    born after the level still belong to the class that held them before."""
+    cuts = []
+    for k in range(len(log.levels)):
+        at: List[int] = []
+        for c, (o, b) in enumerate(zip(log.origin, log.born)):
+            at.append(c if b <= k else at[o])
+        cuts.append([at[c] for c in log.block])
+    return cuts
 
 
 def bisimilarity_degree_reference(
@@ -32,8 +48,8 @@ def bisimilarity_degree_reference(
         raise ValueError("interpretations use different signatures")
     fs = normalize_features(features)
     graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
-    levels, cuts, _ = _refine(*_flatten(graphs))
-    partition = partition_from_cuts(levels, cuts, interp1.domain + interp2.domain)
+    log, _ = _refine(*_flatten(graphs))
+    partition = partition_from_cuts_reference(log.levels, cuts_from_log(log), interp1.domain + interp2.domain)
     n1 = interp1.n
     return min(
         partition.degree(interp1.individual_element(a), n1 + interp2.individual_element(a))

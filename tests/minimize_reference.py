@@ -51,10 +51,11 @@ def approximate_minimize_reference(
         partition, rounds = auto_partition(interp, fs)
     run = _Run(partition)
     keeper = run.keeper
+    views = list(partition.blocks())
 
     def check_block(b: int) -> None:
         if keeper[b] >= 0:
-            assert partition.contains(run.blocks[b], keeper[b]), "representative left its block"
+            assert partition.contains(views[b], keeper[b]), "representative left its block"
         while run.parent[b] >= 0:
             p = run.parent[b]
             assert not (keeper[p] < 0 and keeper[b] >= 0), (
@@ -128,7 +129,7 @@ def approximate_minimize_reference(
                 run.claim(block, y)
                 push_out_edges(y)
                 if narrate is not None:
-                    narrate(f"  add {name(y)}; block degree {run.blocks[block].degree} keeper := {name(y)}")
+                    narrate(f"  add {name(y)}; block degree {views[block].degree} keeper := {name(y)}")
             if debug_checks:
                 check_block(block)
             # the role entry between x and y's keeper, at the first level that reaches it

@@ -1,8 +1,10 @@
 """Reference implementations of the block tree's builder and renderer, kept
 for differential tests against ``fuzzymin.partition``.
 
-Both recurse once per level of the tree, as the package's versions did
-before they became loops; the trees and texts they give must be identical.
+Both recurse once per level of the tree.  The builder reads the d-cuts one
+level at a time and rescans each block's elements per level, as the package
+did before it built the tree from the refinement's split log; the trees and
+texts they give must be identical.
 """
 
 from __future__ import annotations
@@ -50,8 +52,21 @@ def partition_from_cuts_reference(
         b.hi = len(order)
         return b
 
-    root = build(list(range(n)), 0, None)
-    return CompactFuzzyPartition(root, blocks, order, names)
+    build(list(range(n)), 0, None)
+    leaf = [0] * n
+    for b in blocks:
+        if b.is_crisp:
+            for x in order[b.lo:b.hi]:
+                leaf[x] = b.id
+    return CompactFuzzyPartition(
+        [-1 if b.parent is None else b.parent.id for b in blocks],
+        [b.degree for b in blocks],
+        [b.lo for b in blocks],
+        [b.hi for b in blocks],
+        order,
+        leaf,
+        names,
+    )
 
 
 def render_reference(partition: CompactFuzzyPartition, names: Sequence[str] | None = None) -> str:

@@ -22,7 +22,7 @@ from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, ZERO, biresiduum
 from fuzzymin.concepts import eval_concept, interpretation_degree_pool, random_concept
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize, construct_witness
-from bisim_reference import greatest_bisimulation_reference
+from bisim_reference import cuts_from_log, greatest_bisimulation_reference
 from instances import alternating_chain, layered_cycles, twin_stars, two_chains
 from strategies import feature_sets, interpretation_pairs, interpretations
 
@@ -79,6 +79,26 @@ class TestGraphEncoding:
         assert fwd.value(u1, v2) == D("0.4")
         assert inv.value(v2, u1) == D("0.4")
         assert inv == fwd.inverse()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(interpretation_pairs())
+    def test_flatten_lists_match_the_sorted_items(self, case):
+        # _flatten reads the rows unsorted; every vertex's lists must still
+        # be the ones the sorted items() give
+        first, second, features = case
+        graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
+        labels, out = [], []
+        for g in graphs:
+            shift = len(labels)
+            labels += [[] for _ in range(g.n)]
+            out += [[] for _ in range(g.n)]
+            for t, token in enumerate(g.vertex_labels):
+                for v, d in g.labels[token].items():
+                    labels[shift + v].append((t, d.scaled))
+            for r, role in enumerate(g.edge_labels):
+                for (x, y), d in g.edges[role].items():
+                    out[shift + x].append((d.scaled, r, shift + y))
+        assert _flatten(graphs) == (labels, out, len(graphs[0].edge_labels))
 
 
 class TestGreatestBisimulation:
@@ -256,7 +276,8 @@ def first_occurrence(cut):
 
 
 def assert_engine_matches_reference(flat):
-    levels, cuts, rounds = _refine(*flat)
+    log, rounds = _refine(*flat)
+    levels, cuts = log.levels, cuts_from_log(log)
     ref_levels, ref_cuts, ref_rounds = refine_reference(*flat)
     assert levels == ref_levels
     assert [first_occurrence(c) for c in cuts] == [first_occurrence(c) for c in ref_cuts]

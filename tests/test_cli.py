@@ -451,3 +451,15 @@ class TestDeepInputs:
             assert (status, err) == (0, "")
             outputs.append(out)
         assert outputs[1] == outputs[0] == "v1:0.7\nv2:0.8\nv3:0.9\nv1':0.7\nv2':0.8\n"
+
+    @pytest.mark.parametrize("left, right", [("(", ")"), ("exists r . ", "")])
+    def test_nested_concept_deeper_than_the_recursion_limit(self, tmp_path, capsys, left, right):
+        # the parser recurses once per nesting level; past the recursion
+        # limit that is an input error (exit 1), never an internal one (2)
+        infile = tmp_path / "in.txt"
+        infile.write_text(TWIN_FILE)
+        depth = 5000
+        status, out, err = run_cli(
+            capsys, ["eval", "--concept", left * depth + "A" + right * depth, "--in", str(infile)])
+        assert status in (0, 1), err
+        assert status == 0 or err.startswith("error: bad concept expression: ")

@@ -277,7 +277,7 @@ class TestFlattening:
         partition = build_compact_partition(Z, names)
         run = _Run(partition)
         leaf = run.locate(2, SCALE)
-        assert run.blocks[leaf].is_crisp and leaf == partition.leaf_of[2].id
+        assert list(partition.blocks())[leaf].is_crisp and leaf == partition.leaf_of[2].id
         assert run.locate(2, SCALE) == leaf
 
     def test_repeated_calls_return_same_class(self):

@@ -1,9 +1,11 @@
 """The block tree's builder and renderer against the recursive ones they
 replaced, and trees deeper than the interpreter's recursion limit.
 
-``partition_reference`` keeps the builder and renderer that recurse once per
-level; the loops in ``fuzzymin.partition`` must give the same blocks, spans,
-ordering and text.  ``row`` must give exactly x's row of the equivalence.
+``partition_reference`` keeps the builder that reads the cuts level by level
+and the renderer, both recursing once per level; ``partition_from_log``
+must give the same blocks, spans, ordering and text from the split log
+those cuts were expanded from.  ``row`` must give exactly x's row of the
+equivalence.
 """
 
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from fuzzymin import (
     construct_witness,
 )
 from fuzzymin.bisim import _flatten, _refine, _union_graph, to_fuzzy_graph
-from fuzzymin.core import ONE
-from fuzzymin.partition import partition_from_cuts
+from fuzzymin.core import Degree, ONE
+from fuzzymin.genbench import GeneratorParams, generate
+from fuzzymin.partition import Block, partition_from_log
+from bisim_reference import cuts_from_log
 from instances import staircase
 from partition_reference import partition_from_cuts_reference, render_reference
 from strategies import feature_sets, interpretation_pairs, interpretations
@@ -33,9 +37,9 @@ def layout(partition):
     )
 
 
-def assert_same_tree(levels, cuts, names):
-    tree = partition_from_cuts(levels, cuts, names)
-    reference = partition_from_cuts_reference(levels, cuts, names)
+def assert_same_tree(log, names):
+    tree = partition_from_log(log, names)
+    reference = partition_from_cuts_reference(log.levels, cuts_from_log(log), names)
     assert layout(tree) == layout(reference)
     assert tree.render() == render_reference(reference)
     renamed = [f"<{name}>" for name in reversed(names)]
@@ -50,21 +54,21 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(interpretations(), feature_sets)
     def test_auto_partitions(self, interp, features):
-        levels, cuts, _ = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
-        assert_same_tree(levels, cuts, interp.domain)
+        log, _ = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
+        assert_same_tree(log, interp.domain)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs())
     def test_union_partitions(self, case):
         first, second, features = case
-        levels, cuts, _ = _refine(*_union_graph(first, second, features))
-        assert_same_tree(levels, cuts, first.domain + second.domain)
+        log, _ = _refine(*_union_graph(first, second, features))
+        assert_same_tree(log, first.domain + second.domain)
 
     def test_deep_staircase(self):
         # deep enough to matter, shallow enough for the reference's recursion
         stairs = staircase(300)
-        levels, cuts, _ = _refine(*_flatten([to_fuzzy_graph(stairs, frozenset())]))
-        assert_same_tree(levels, cuts, stairs.domain)
+        log, _ = _refine(*_flatten([to_fuzzy_graph(stairs, frozenset())]))
+        assert_same_tree(log, stairs.domain)
 
 
 class TestDeepTree:
@@ -87,3 +91,27 @@ class TestDeepTree:
         witness = construct_witness(stairs, result, params)
         assert len(witness) == levels  # x0 is related to every element
         assert check_bisimulation(witness, stairs, result.reduced, frozenset()) == []
+
+
+class TestNoBlockObjects:
+    def test_minimize_and_witness_build_no_block(self, monkeypatch):
+        # the reduction and the witness read the tree's arrays; Block views
+        # are built only for callers that ask for one
+        built = []
+        real = Block.__init__
+
+        def counting(self, *args):
+            built.append(args[0])
+            real(self, *args)
+
+        monkeypatch.setattr(Block, "__init__", counting)
+        interp = generate(GeneratorParams(3, 12, 20, 2, 10, 3, 2, 2, False, True, True, seed=5))
+        for gamma in (ONE, Degree("0.5")):
+            params = MinimizeParams(frozenset("IO"), gamma)
+            result = approximate_minimize(interp, params)
+            witness = construct_witness(interp, result, params)
+            assert check_bisimulation(witness, interp, result.reduced, frozenset("IO")) == []
+        assert result.partition.block_count() > 1 and built == []
+        # the first Block-returning call builds every view, once
+        assert result.partition.root is result.partition.root
+        assert built == list(range(result.partition.block_count()))

@@ -1,7 +1,7 @@
 """The trust path against the implementations it replaced.
 
 ``bisimilarity_degree`` refines only what the individuals reach and reads
-the degrees off the cuts; ``check_bisimulation`` compares scaled ints over
+the degrees off the split log; ``check_bisimulation`` compares scaled ints over
 rows indexed once.  ``bisim_reference`` keeps the whole-union tree and the
 per-successor-pair check, and both must agree exactly: equal degrees and
 byte-identical violation lists.
@@ -16,10 +16,12 @@ from fuzzymin import (
     check_bisimulation,
     construct_witness,
 )
-from fuzzymin.core import Degree, FuzzyRelation, ONE, biresiduum
+from fuzzymin.bisim import _refine, _union_graph
+from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, biresiduum
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
-from bisim_reference import bisimilarity_degree_reference, check_bisimulation_reference
+from fuzzymin.model import make_interpretation
+from bisim_reference import bisimilarity_degree_reference, check_bisimulation_reference, cuts_from_log
 from instances import layered_cycles, research_network, staircase, twin_stars, two_chains
 from strategies import FEATURE_SETS, PALETTE, interpretation_pairs
 
@@ -99,6 +101,46 @@ class TestDifferential:
         for build in (twin_stars, layered_cycles, two_chains, research_network):
             for features in FEATURE_SETS:
                 assert_same_on_reductions(build(), features)
+
+
+class TestDegreeOffTheLog:
+    """``SplitLog.degree`` reads a pair's degree off the split log: the level
+    of the last cut that still holds both vertices in one class."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(interpretation_pairs())
+    def test_every_pair_matches_the_cuts(self, case):
+        first, second, features = case
+        log, _ = _refine(*_union_graph(first, second, features))
+        cuts = cuts_from_log(log)
+        for u in range(len(log.block)):
+            for v in range(len(log.block)):
+                parted = [k for k, cut in enumerate(cuts) if cut[u] != cut[v]]
+                expected = ONE if not parted else log.levels[parted[0] - 1] if parted[0] else ZERO
+                assert log.degree(u, v) == expected
+
+    def union_log(self, first, second):
+        log, _ = _refine(*_union_graph(first, second, frozenset()))
+        a = (first.individual_element("a"), first.n + second.individual_element("a"))
+        return log, a
+
+    def test_individuals_in_different_first_classes(self):
+        first = twin_stars()
+        second = make_interpretation(
+            first.signature, ["u"], {"a": "u", "b": "u"}, {"A": {"u": "0.3"}}, {})
+        log, (x, xp) = self.union_log(first, second)
+        assert cuts_from_log(log)[0][x] != cuts_from_log(log)[0][xp]
+        assert log.degree(x, xp) == ZERO
+        assert bisimilarity_degree(first, second, frozenset()) == ZERO
+        assert bisimilarity_degree_reference(first, second, frozenset()) == ZERO
+
+    def test_individuals_in_one_final_class(self):
+        first, second = twin_stars(), twin_stars()
+        log, (x, xp) = self.union_log(first, second)
+        assert log.block[x] == log.block[xp]
+        assert log.degree(x, xp) == ONE
+        assert bisimilarity_degree(first, second, frozenset()) == ONE
+        assert bisimilarity_degree_reference(first, second, frozenset()) == ONE
 
 
 class TestDeepInputs:
