@@ -130,12 +130,12 @@ def _flatten(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[Labels, Edges, int]:
         out.extend([] for _ in range(g.n))
         for t, token in enumerate(tokens):
             for v, d in g.labels[token]._entries.items():
-                labels[shift + v].append((t, d.scaled))
+                labels[shift + v].append((t, d))
         for r, role in enumerate(roles):
-            for x, row in g.edges[role]._fwd.items():
+            for x, row in enumerate(g.edges[role]._fwd):
                 edges = out[shift + x]
-                for y, d in row:
-                    edges.append((d.scaled, r, shift + y))
+                for y, d in row.items():
+                    edges.append((d, r, shift + y))
     return labels, out, len(roles)
 
 
@@ -144,14 +144,14 @@ def _reach(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[L
     plus each vertex's number there (-1 if not reached).  Vertices are
     numbered breadth first: the seeds in order, then the targets of each
     numbered vertex's edges as listed.  Labels and edges come in
-    ``_flatten``'s order, read straight off the graphs' rows, so a vertex
-    that is not reached costs nothing beyond the O(n) numbering.
+    ``_flatten``'s order, edges read off the graphs' rows and labels off one
+    pass over each label set, so a vertex that is not reached costs nothing
+    beyond the O(n) numbering.
     """
     tokens, roles = graphs[0].vertex_labels, graphs[0].edge_labels
     sides, owner = [], []
     for g in graphs:
-        sides.append((len(owner), [g.labels[token]._entries for token in tokens],
-                      [g.edges[role]._fwd.get for role in roles]))  # a row by one dict lookup
+        sides.append((len(owner), [g.edges[role]._fwd for role in roles]))
         owner.extend([len(sides) - 1] * g.n)
     index = [-1] * len(owner)
     reached: List[int] = []
@@ -159,25 +159,26 @@ def _reach(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[L
         if index[v] < 0:
             index[v] = len(reached)
             reached.append(v)
-    labels: Labels = []
     out: Edges = []
     for v in reached:  # the list grows while it is walked
-        shift, label_rows, rows = sides[owner[v]]
+        shift, rows = sides[owner[v]]
         x = v - shift
-        lab = []
-        for t, row in enumerate(label_rows):
-            if x in row:
-                lab.append((t, row[x].scaled))
-        labels.append(lab)
         edges = []
-        for r, successors in enumerate(rows):
-            for y, d in successors(x, ()):
+        for r, fwd in enumerate(rows):
+            for y, d in fwd[x].items():
                 y += shift
                 if index[y] < 0:
                     index[y] = len(reached)
                     reached.append(y)
-                edges.append((d.scaled, r, index[y]))
+                edges.append((d, r, index[y]))
         out.append(edges)
+    labels: Labels = [[] for _ in reached]
+    for (shift, _), g in zip(sides, graphs):
+        for t, token in enumerate(tokens):
+            for x, d in g.labels[token]._entries.items():
+                i = index[shift + x]
+                if i >= 0:
+                    labels[i].append((t, d))
     return labels, out, len(roles), index
 
 
@@ -340,14 +341,14 @@ def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = No
     if not phi.is_square:
         raise ValueError("a fuzzy equivalence must be square")
     n = phi.rows
-    labels = [[(y, d.scaled) for y, d in phi.successors(x)] for x in range(n)]
+    labels = [list(row.items()) for row in phi._fwd]
     log, _ = _refine(labels, [()] * n, 0)  # no edges, no roles
     tree = partition_from_log(log, [str(i) for i in range(n)] if names is None else names)
     for x in range(n):
         row: Dict[int, int] = {}
         for degree, elems in tree.row(x):
-            row.update(dict.fromkeys(elems, degree.scaled))
-        if row != dict(labels[x]):
+            row.update(dict.fromkeys(elems, degree))
+        if row != phi._fwd[x]:
             raise ValueError("input relation is not a fuzzy equivalence")
     return tree
 
@@ -447,30 +448,23 @@ def check_bisimulation(
 
     Pairs with Z = 0 satisfy everything vacuously, so only the support of Z
     is examined.  Condition (4) applies only when nominals are enabled.
-    Degrees are compared as scaled ints over rows indexed once per call, and
-    a ``Degree`` is built only for a reported violation.
+    Degrees are compared as scaled ints on the sets' and relations' own
+    rows, and a ``Degree`` is built only for a reported violation.
     """
     fs = normalize_features(features)
     if (Z.rows, Z.cols) != (interp1.n, interp2.n):
         raise ValueError("relation shape does not match the interpretation domains")
     sig = interp1.signature
 
-    z_rows = {x: {xp: d.scaled for xp, d in Z.successors(x)} for x in Z.sources()}
-    concepts = [
-        (c, {x: d.scaled for x, d in interp1.concept_set(c).items()},
-         {x: d.scaled for x, d in interp2.concept_set(c).items()})
-        for c in sig.concept_names
-    ]
+    z_rows = Z._fwd
+    concepts = [(c, interp1.concept_set(c)._entries, interp2.concept_set(c)._entries) for c in sig.concept_names]
     # each pair compares two tuples of scaled concept degrees: the second
     # side's built once per element, the first side's once per row of Z
     sets1 = [set1 for _, set1, _ in concepts]
     profile2 = {xp: tuple([set2.get(xp, 0) for _, _, set2 in concepts])
-                for xp in set().union(*z_rows.values())}
-    # successor rows fetched by one dict lookup each, not a method call
-    roles = [
-        (role, interp1.basic_role_relation(role)._fwd, interp2.basic_role_relation(role)._fwd)
-        for role in basic_roles(sig, fs)
-    ]
+                for xp in set().union(*z_rows)}
+    roles = [(role, interp1.basic_role_relation(role)._fwd, interp2.basic_role_relation(role)._fwd)
+             for role in basic_roles(sig, fs)]
     nominals = "O" in fs
 
     def marks(interp: FuzzyInterpretation) -> Dict[int, Set[int]]:
@@ -484,11 +478,12 @@ def check_bisimulation(
     marks1, marks2 = marks(interp1), marks(interp2)
     unmarked: Set[int] = set()
     names1, names2 = interp1.domain, interp2.domain  # looked up only to report
-    unrelated: Dict[int, int] = {}
     out: List[BisimViolation] = []
-    for x, z_row in z_rows.items():
+    for x, z_row in enumerate(z_rows):
+        if not z_row:
+            continue
         profile_x = tuple([set1.get(x, 0) for set1 in sets1])
-        rows_x = [(role, fwd1.get(x, ()), fwd2) for role, fwd1, fwd2 in roles]
+        rows_x = [(role, fwd1[x].items(), fwd2) for role, fwd1, fwd2 in roles]
         for xp, z in z_row.items():
             if profile_x != profile2[xp]:  # equal degrees bound nothing
                 for cname, set1, set2 in concepts:
@@ -503,17 +498,19 @@ def check_bisimulation(
                             )
                         )
             for role, succ1, fwd2 in rows_x:
-                succ2 = fwd2.get(xp, ())
+                succ2 = fwd2[xp].items()
+                if not (succ1 or succ2):
+                    continue
                 # each max stops once it reaches lhs: only a best below lhs is reported
                 for y, dxy in succ1:
-                    lhs = z if z < dxy.scaled else dxy.scaled
-                    z_y = z_rows.get(y, unrelated)
+                    lhs = z if z < dxy else dxy
+                    z_y = z_rows[y]
                     best = 0
                     for yp, dxpyp in succ2:
                         cand = z_y.get(yp, 0)
                         if cand > best:  # most are 0: test before taking the min
-                            if dxpyp.scaled < cand:
-                                cand = dxpyp.scaled
+                            if dxpyp < cand:
+                                cand = dxpyp
                             if cand > best:
                                 best = cand
                                 if best >= lhs:
@@ -528,13 +525,13 @@ def check_bisimulation(
                             )
                         )
                 for yp, dxpyp in succ2:
-                    lhs = z if z < dxpyp.scaled else dxpyp.scaled
+                    lhs = z if z < dxpyp else dxpyp
                     best = 0
                     for y, dxy in succ1:
-                        cand = z_rows.get(y, unrelated).get(yp, 0)
+                        cand = z_rows[y].get(yp, 0)
                         if cand > best:
-                            if dxy.scaled < cand:
-                                cand = dxy.scaled
+                            if dxy < cand:
+                                cand = dxy
                             if cand > best:
                                 best = cand
                                 if best >= lhs:

@@ -65,23 +65,23 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
     domain: List[str] = []
     index: Dict[str, int] = {}
     ind_map: Dict[str, int] = {}
-    concept_facts: Dict[str, Dict[int, Degree]] = {}
-    role_facts: Dict[str, Dict[Tuple[int, int], Degree]] = {}
+    concept_facts: Dict[str, Dict[int, int]] = {}
+    role_facts: Dict[str, Dict[int, Dict[int, int]]] = {}
     stage = 0
 
     # each distinct literal is parsed once, on a miss in ``parsed``; bad ones
     # are never stored, so a repeat fails again on its own line
-    parsed: Dict[str, Degree] = {}
+    parsed: Dict[str, int] = {}
 
-    def parse_degree(token: str, line_no: int) -> Degree:
+    def parse_degree(token: str, line_no: int) -> int:
         try:
-            deg = Degree(token)
+            scaled = Degree(token).scaled
         except ValueError as exc:
             _fail(line_no, str(exc))
-        if deg.is_zero:
+        if not scaled:
             _fail(line_no, "zero degree: omit the fact instead of writing degree 0")
-        parsed[token] = deg
-        return deg
+        parsed[token] = scaled
+        return scaled
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,13 +151,14 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
                 if roles is None or rname not in roles:
                     _fail(line_no, f"unknown role name {rname!r}")
                 bucket = role_facts[rname] = {}
-            pair = index.get(x), index.get(y)
-            if None in pair:
+            i, j = index.get(x), index.get(y)
+            if i is None or j is None:
                 _fail(line_no, f"unknown domain element in role fact {rname} {x} {y}")
-            if pair in bucket:
+            row = bucket.setdefault(i, {})
+            if j in row:
                 _fail(line_no, f"duplicate role fact {rname} {x} {y}")
             deg = parsed.get(dtext)
-            bucket[pair] = deg if deg is not None else parse_degree(dtext, line_no)
+            row[j] = deg if deg is not None else parse_degree(dtext, line_no)
 
     if individuals is None:
         raise CliInputError("missing 'individuals' line")
@@ -179,12 +180,20 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
         domain,
         ind_map,
         {c: FuzzySet._trusted(n, facts) for c, facts in concept_facts.items()},
-        {r: FuzzyRelation._trusted(n, n, facts) for r, facts in role_facts.items()},
+        {r: FuzzyRelation._trusted(n, n, facts.items()) for r, facts in role_facts.items()},
     )
     problems = validate(interp)
     if problems:
         raise CliInputError("; ".join(problems))
     return signature, interp
+
+
+class _DegreeText(dict):
+    """Scaled degree -> its literal, formatted on the first lookup."""
+
+    def __missing__(self, scaled: int) -> str:
+        text = self[scaled] = str(Degree.from_scaled(scaled))
+        return text
 
 
 def write_interpretation(interp: FuzzyInterpretation) -> str:
@@ -201,20 +210,17 @@ def write_interpretation(interp: FuzzyInterpretation) -> str:
     lines.append("domain" + "".join(f" {e}" for e in names))
     for a in sig.individual_names:
         lines.append(f"ind {a} {names[interp.individuals[a]]}")
-    # each distinct degree is formatted once
-    text: Dict[int, str] = {}
+    # each distinct degree is formatted once; a relation's rows are read as
+    # stored, sources in order and each row sorted by target
+    text = _DegreeText()
     for cname in sig.concept_names:
-        for idx, deg in interp.concept_set(cname).items():
-            dtext = text.get(deg.scaled)
-            if dtext is None:
-                dtext = text[deg.scaled] = str(deg)
-            lines.append(f"concept {cname} {names[idx]} {dtext}")
+        entries = interp.concept_set(cname)._entries
+        for x in sorted(entries):
+            lines.append(f"concept {cname} {names[x]} {text[entries[x]]}")
     for rname in sig.role_names:
-        for (x, y), deg in interp.role_relation(rname).items():
-            dtext = text.get(deg.scaled)
-            if dtext is None:
-                dtext = text[deg.scaled] = str(deg)
-            lines.append(f"role {rname} {names[x]} {names[y]} {dtext}")
+        for x, row in enumerate(interp.role_relation(rname)._fwd):
+            for y, scaled in row.items():
+                lines.append(f"role {rname} {names[x]} {names[y]} {text[scaled]}")
     return "\n".join(lines) + "\n"
 
 
@@ -329,9 +335,7 @@ def _cmd_bisim(args) -> int:
     if not interp.signature.same_names(other.signature):
         raise CliInputError("the two interpretations use different signatures")
     result = greatest_bisimulation(interp, other, features)
-    out = []
-    for (x, y), deg in result.Z.items():
-        out.append(f"{interp.element_name(x)} {other.element_name(y)} {deg}")
+    out = [f"{interp.element_name(x)} {other.element_name(y)} {deg}" for (x, y), deg in result.Z.items()]
     degree = min(
         result.Z.value(interp.individual_element(a), other.individual_element(a))
         for a in signature.individual_names

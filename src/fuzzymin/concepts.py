@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import Degree, FuzzyRelation, FuzzySet, ONE, SCALE, ScaledRows, biresiduum
-from .core import _from_scaled_rows, _maxmin_rows
+from .core import _maxmin_rows
 from .model import FuzzyInterpretation, Signature, normalize_features
 
 
@@ -482,15 +482,15 @@ def _node_value(node, interp: FuzzyInterpretation, args: list):
         return [node.degree.scaled] * n
     if isinstance(node, ConceptName):
         out = [0] * n
-        for x, d in interp.concept_set(node.name).items():
-            out[x] = d.scaled
+        for x, d in interp.concept_set(node.name)._entries.items():
+            out[x] = d
         return out
     if isinstance(node, Nominal):
         out = [0] * n
         out[interp.individual_element(node.name)] = SCALE
         return out
     if isinstance(node, RoleName):
-        return interp.role_relation(node.name).scaled_rows()
+        return interp.role_relation(node.name)._fwd
     if isinstance(node, Or):
         return list(map(max, *args))
     if isinstance(node, And):
@@ -533,12 +533,12 @@ def _node_value(node, interp: FuzzyInterpretation, args: list):
 
 
 def eval_role(node: Role, interp: FuzzyInterpretation) -> FuzzyRelation:
-    return _from_scaled_rows(_value(node, interp), interp.n)
+    return FuzzyRelation._trusted(interp.n, interp.n, enumerate(_value(node, interp)))
 
 
 def eval_concept(node: Concept, interp: FuzzyInterpretation) -> FuzzySet:
     values = _value(node, interp)
-    return FuzzySet._trusted(interp.n, {x: Degree.from_scaled(v) for x, v in enumerate(values) if v})
+    return FuzzySet._trusted(interp.n, {x: v for x, v in enumerate(values) if v})
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,19 @@ Every algorithm in this package only compares, mins and maxes degrees, so
 degrees are stored as scaled integers (nine fractional decimal digits).
 That keeps comparisons exact and makes every tie deterministic; no floating
 point ever enters the algebra.
+
+Sets and relations hold those integers themselves: a set maps each element
+to its scaled degree, and a relation keeps one such dict per source, keyed
+by target.  The garbage collector does not track a dict of ints, so an
+interpretation with m facts adds objects to every collection per set and
+relation, not per fact.  ``Degree`` objects exist only at the API boundary:
+``value``, ``successors``, ``items`` and ``degrees`` hand out one shared
+``Degree`` per distinct value.  The other modules read the integers.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -132,47 +141,52 @@ def inf_all(degrees: Iterable[Degree]) -> Degree:
     return best
 
 
+# the ``Degree`` handed out for a scaled value at the API boundary: one object
+# per distinct value among the 4096 read most recently, whoever reads it
+_shared_degree = functools.lru_cache(maxsize=4096)(Degree.from_scaled)
+
+
 class FuzzySet:
-    """Sparse fuzzy subset of a finite indexed carrier; only positive entries
-    stored.  The constructor checks every entry, ``_trusted`` none."""
+    """Sparse fuzzy subset of a finite indexed carrier: ``_entries`` maps each
+    element of positive degree to its scaled degree.  The constructor checks
+    every entry, ``_trusted`` none."""
 
     __slots__ = ("size", "_entries")
 
-    def __init__(self, size: int, entries: Mapping[int, Degree] | Iterable[Tuple[int, Degree]] = ()):
+    def __init__(self, size: int, entries: Mapping[int, DegreeLike] | Iterable[Tuple[int, DegreeLike]] = ()):
         if size < 0:
             raise ValueError("carrier size must be non-negative")
         self.size = size
-        data: Dict[int, Degree] = {}
+        data: Dict[int, int] = {}
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         for key, deg in pairs:
             if not 0 <= key < size:
                 raise ValueError(f"element index {key} outside carrier of size {size}")
-            if not isinstance(deg, Degree):
-                deg = Degree(deg)
-            if deg.is_zero:
+            scaled = deg.scaled if isinstance(deg, Degree) else Degree(deg).scaled
+            if not scaled:
                 raise ValueError(f"zero entries must be omitted (element {key})")
             if key in data:
                 raise ValueError(f"duplicate entry for element {key}")
-            data[key] = deg
+            data[key] = scaled
         self._entries = data
 
     @classmethod
-    def _trusted(cls, size: int, entries: Dict[int, Degree]) -> "FuzzySet":
-        """Wrap entries that are valid by construction: nonzero ``Degree``s
-        keyed by indices inside the carrier.  Takes ownership of the dict."""
+    def _trusted(cls, size: int, entries: Dict[int, int]) -> "FuzzySet":
+        """Wrap entries that are valid by construction: positive scaled
+        degrees by index inside the carrier.  Takes ownership of the dict."""
         fset = cls.__new__(cls)
         fset.size = size
         fset._entries = entries
         return fset
 
     def value(self, key: int) -> Degree:
-        return self._entries.get(key, ZERO)
+        return _shared_degree(self._entries.get(key, 0))
 
     def support(self) -> Tuple[int, ...]:
         return tuple(sorted(self._entries))
 
     def items(self) -> Iterator[Tuple[int, Degree]]:
-        return iter(sorted(self._entries.items()))
+        return iter([(key, _shared_degree(s)) for key, s in sorted(self._entries.items())])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -185,7 +199,7 @@ class FuzzySet:
         )
 
     def __hash__(self):
-        return hash((self.size, tuple(sorted(self._entries.items(), key=lambda kv: kv[0]))))
+        return hash((self.size, tuple(sorted(self._entries.items()))))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}:{v}" for k, v in self.items())
@@ -193,112 +207,115 @@ class FuzzySet:
 
 
 # A relation as successor rows of scaled degrees: row i maps each target j of
-# a positive entry to its scaled degree.  The concept evaluator computes on it.
+# a positive entry to its scaled degree, in ascending order of j.  The rows
+# without entries share one dict, so no reader may write to a row.
 ScaledRows = List[Dict[int, int]]
+_NO_ENTRIES: Dict[int, int] = {}
 
 
 class FuzzyRelation:
     """Sparse fuzzy relation between two finite indexed carriers.
 
-    Keeps each row's successors sorted by target, so successors(x) is cheap.
-    The constructor checks every entry; ``_trusted`` builds the same object
-    from entries that are valid by construction without checking them.
-    Relations are immutable, so the sorted degree set and the scaled rows are
-    computed once, on first use.
+    ``_fwd`` holds the relation as ``ScaledRows``, one row per source; the
+    modules of this package read it directly and never write to it.  The
+    constructor checks every entry; ``_trusted`` builds the same object from
+    rows that are valid by construction without checking them.  Relations
+    are immutable, so the sorted degree set is computed once, on first use.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_fwd", "_degrees", "_scaled_rows")
+    __slots__ = ("rows", "cols", "_fwd", "_degrees")
 
     def __init__(
         self,
         rows: int,
         cols: int,
-        entries: Mapping[Tuple[int, int], Degree] | Iterable[Tuple[Tuple[int, int], Degree]] = (),
+        entries: Mapping[Tuple[int, int], DegreeLike] | Iterable[Tuple[Tuple[int, int], DegreeLike]] = (),
     ):
         if rows < 0 or cols < 0:
             raise ValueError("carrier sizes must be non-negative")
-        data: Dict[Tuple[int, int], Degree] = {}
+        fwd: Dict[int, Dict[int, int]] = {}
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         for (i, j), deg in pairs:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"pair ({i},{j}) outside carrier {rows}x{cols}")
-            if not isinstance(deg, Degree):
-                deg = Degree(deg)
-            if deg.is_zero:
+            scaled = deg.scaled if isinstance(deg, Degree) else Degree(deg).scaled
+            if not scaled:
                 raise ValueError(f"zero entries must be omitted (pair ({i},{j}))")
-            if (i, j) in data:
+            row = fwd.setdefault(i, {})
+            if j in row:
                 raise ValueError(f"duplicate entry for pair ({i},{j})")
-            data[i, j] = deg
-        self._build(rows, cols, data)
+            row[j] = scaled
+        self._init(rows, cols, fwd.items())
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: Dict[Tuple[int, int], Degree]) -> "FuzzyRelation":
-        """Wrap entries that are valid by construction: nonzero ``Degree``s
-        keyed by pairs inside the carriers.  Takes ownership of the dict."""
+    def _trusted(cls, rows: int, cols: int, fwd: Iterable[Tuple[int, Dict[int, int]]]) -> "FuzzyRelation":
+        """Wrap rows that are valid by construction: (source, row) pairs, no
+        source twice, each row a dict of positive scaled degrees by target,
+        all inside the carriers.  Takes ownership of the rows."""
         rel = cls.__new__(cls)
-        rel._build(rows, cols, entries)
+        rel._init(rows, cols, fwd)
         return rel
 
-    def _build(self, rows: int, cols: int, data: Dict[Tuple[int, int], Degree]) -> None:
-        """The row builder both constructors share."""
+    def _init(self, rows: int, cols: int, fwd: Iterable[Tuple[int, Dict[int, int]]]) -> None:
+        """The row builder both constructors share: sorts each row by target."""
+        out = [_NO_ENTRIES] * rows
+        for i, row in fwd:
+            if len(row) > 1 and list(row) != sorted(row):
+                row = {j: row[j] for j in sorted(row)}
+            if row:
+                out[i] = row
         self.rows = rows
         self.cols = cols
-        self._entries = data
-        fwd: Dict[int, list] = {}
-        for (i, j), deg in data.items():
-            fwd.setdefault(i, []).append((j, deg))
-        self._fwd = {i: tuple(sorted(v)) for i, v in fwd.items()}
+        self._fwd: ScaledRows = out
         self._degrees: Optional[Tuple[Degree, ...]] = None
-        self._scaled_rows: Optional[ScaledRows] = None
+
+    def _row(self, i: int) -> Dict[int, int]:
+        return self._fwd[i] if 0 <= i < self.rows else _NO_ENTRIES
 
     def value(self, i: int, j: int) -> Degree:
-        return self._entries.get((i, j), ZERO)
+        return _shared_degree(self._row(i).get(j, 0))
 
     def successors(self, i: int) -> Tuple[Tuple[int, Degree], ...]:
-        return self._fwd.get(i, ())
+        return tuple([(j, _shared_degree(s)) for j, s in self._row(i).items()])
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Degree]]:
-        keys = sorted(self._entries)  # sorting the pairs alone is cheaper than sorting items
-        return zip(keys, map(self._entries.__getitem__, keys))
+        return iter([((i, j), _shared_degree(s)) for i, row in enumerate(self._fwd) for j, s in row.items()])
 
     def support_size(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._fwd))
+
+    __len__ = support_size
 
     def sources(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._fwd))
+        return tuple([i for i, row in enumerate(self._fwd) if row])
 
     def degrees(self) -> Tuple[Degree, ...]:
         if self._degrees is None:
-            self._degrees = tuple(sorted(set(self._entries.values())))
+            self._degrees = tuple(map(_shared_degree, sorted({s for row in self._fwd for s in row.values()})))
         return self._degrees
 
-    def scaled_rows(self) -> ScaledRows:
-        """The relation as ``ScaledRows``, shared by every caller, so callers
-        must not write to it."""
-        if self._scaled_rows is None:
-            self._scaled_rows = [{j: d.scaled for j, d in self.successors(i)} for i in range(self.rows)]
-        return self._scaled_rows
-
     def inverse(self) -> "FuzzyRelation":
-        return FuzzyRelation._trusted(self.cols, self.rows, {(j, i): d for (i, j), d in self._entries.items()})
+        cols: Dict[int, Dict[int, int]] = {}
+        for i, row in enumerate(self._fwd):
+            for j, s in row.items():
+                cols.setdefault(j, {})[i] = s
+        return FuzzyRelation._trusted(self.cols, self.rows, cols.items())
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FuzzyRelation)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self._entries == other._entries
+            and self._fwd == other._fwd
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self._entries.items()))))
+        pairs = tuple([((i, j), s) for i, row in enumerate(self._fwd) for j, s in row.items()])
+        return hash((self.rows, self.cols, pairs))
 
     def __repr__(self) -> str:
         body = ", ".join(f"({i},{j}):{d}" for (i, j), d in self.items())
@@ -309,14 +326,9 @@ def identity_relation(n: int) -> FuzzyRelation:
     return FuzzyRelation(n, n, {(i, i): ONE for i in range(n)})
 
 
-def _from_scaled_rows(rows: ScaledRows, cols: int) -> FuzzyRelation:
-    return FuzzyRelation._trusted(len(rows), cols, {
-        (i, j): Degree.from_scaled(d) for i, row in enumerate(rows) for j, d in row.items()})
-
-
 def _maxmin_rows(left: ScaledRows, right: ScaledRows) -> ScaledRows:
     """Max-min product of two relations in row form, O(sum over entries (i, k)
-    of left of the length of right's row k)."""
+    of left of the length of right's row k).  The rows come out unsorted."""
     out = []
     for row in left:
         best: Dict[int, int] = {}
@@ -333,7 +345,7 @@ def compose(phi: FuzzyRelation, psi: FuzzyRelation) -> FuzzyRelation:
     """Max-min composition of two fuzzy relations."""
     if phi.cols != psi.rows:
         raise ValueError(f"composition dimension mismatch: {phi.cols} vs {psi.rows}")
-    return _from_scaled_rows(_maxmin_rows(phi.scaled_rows(), psi.scaled_rows()), psi.cols)
+    return FuzzyRelation._trusted(phi.rows, psi.cols, enumerate(_maxmin_rows(phi._fwd, psi._fwd)))
 
 
 def rst_closure(phi: FuzzyRelation) -> FuzzyRelation:
@@ -347,10 +359,11 @@ def rst_closure(phi: FuzzyRelation) -> FuzzyRelation:
     if not phi.is_square:
         raise ValueError("closure requires a square relation")
     n = phi.rows
-    entries: Dict[Tuple[int, int], Degree] = {(i, i): ONE for i in range(n)}
+    rows = [{i: SCALE} for i in range(n)]
     component = list(range(n))
     members = [[i] for i in range(n)]
-    for (i, j), d in sorted(phi._entries.items(), key=lambda item: item[1].scaled, reverse=True):
+    # ties are taken in any order: the closure is the same
+    for d, i, j in sorted([(d, i, j) for i, row in enumerate(phi._fwd) for j, d in row.items()], reverse=True):
         a, b = component[i], component[j]
         if a == b:
             continue
@@ -358,28 +371,28 @@ def rst_closure(phi: FuzzyRelation) -> FuzzyRelation:
             a, b = b, a
         for x in members[a]:
             for y in members[b]:
-                entries[x, y] = d
-                entries[y, x] = d
+                rows[x][y] = d
+                rows[y][x] = d
         for y in members[b]:
             component[y] = a
         members[a] += members[b]
         members[b] = []
-    return FuzzyRelation._trusted(n, n, entries)
+    return FuzzyRelation._trusted(n, n, enumerate(rows))
 
 
 def is_fuzzy_equivalence(phi: FuzzyRelation) -> bool:
     """True iff phi is reflexive, symmetric and min-transitive."""
     if not phi.is_square:
         raise ValueError("equivalence check requires a square relation")
-    for i in range(phi.rows):
-        if not phi.value(i, i).is_one:
-            return False
-    for (i, j), d in phi._entries.items():
-        if phi.value(j, i) != d:
-            return False
-    for (i, k), d1 in phi._entries.items():
-        for j, d2 in phi.successors(k):
-            through = d1 if d1 <= d2 else d2
-            if phi.value(i, j) < through:
+    rows = phi._fwd
+    if any(row.get(i) != SCALE for i, row in enumerate(rows)):
+        return False
+    for i, row in enumerate(rows):
+        for k, d1 in row.items():
+            if rows[k].get(i) != d1:
                 return False
+            for j, d2 in rows[k].items():
+                through = d1 if d1 <= d2 else d2
+                if row.get(j, 0) < through:
+                    return False
     return True

@@ -21,9 +21,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
-from .core import Degree, FuzzyRelation, FuzzySet, ONE, tnorm
+from .core import Degree, FuzzyRelation, FuzzySet, ONE
 from .bisim import auto_partition
 from .model import (
     BasicRole,
@@ -50,8 +50,7 @@ class MinimizeParams:
             raise ValueError("gamma must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One element added to the reduced domain: the level it was added at and
     the link that reached it (None for individual-seeded elements)."""
 
@@ -210,8 +209,10 @@ def approximate_minimize(
     # ranks of the non-empty buckets
     roles_in_order = basic_roles(sig, fs)
     relations = [interp.basic_role_relation(role) for role in roles_in_order]
+    fwds = [rel._fwd for rel in relations]
     inverse = [role.inverse for role in roles_in_order]
-    new_roles: Dict[str, Dict[Tuple[int, int], Degree]] = {r: {} for r in sig.role_names}
+    # the reduced roles' rows: source -> {target: scaled degree}
+    new_roles: Dict[str, Dict[int, Dict[int, int]]] = {r: {} for r in sig.role_names}
     written = [new_roles[role.name] for role in roles_in_order]
     ranked = sorted({d for rel in relations for d in rel.degrees()}, reverse=True)
     rank = {d.scaled: i for i, d in enumerate(ranked)}
@@ -224,9 +225,9 @@ def approximate_minimize(
     new_individuals: Dict[str, int] = {}
 
     def push_out_edges(x: int) -> None:
-        for r, rel in enumerate(relations):
-            for y, d in rel.successors(x):
-                i = rank[d.scaled]
+        for r, fwd in enumerate(fwds):
+            for y, d in fwd[x].items():
+                i = rank[d]
                 bucket = buckets[i]
                 if not bucket:
                     heapq.heappush(active, i)
@@ -234,14 +235,7 @@ def approximate_minimize(
 
     def add_element(x: int, level: Degree, via_x: Optional[int], via_role: Optional[BasicRole]) -> None:
         added_order.append(x)
-        trace.added.append(
-            TraceEntry(
-                element=name(x),
-                degree=level,
-                via_element=None if via_x is None else name(via_x),
-                via_role=via_role,
-            )
-        )
+        trace.added.append(TraceEntry(name(x), level, None if via_x is None else name(via_x), via_role))
 
     # seed from the named individuals
     for a in sig.individual_names:
@@ -292,14 +286,15 @@ def approximate_minimize(
                 check_block(block)
             # the role entry between x and y's keeper, at the first level that reaches it
             src, dst = (keeper[block], x) if inverse[r] else (x, keeper[block])
-            entries = written[r]
-            if (src, dst) not in entries:
-                entries[src, dst] = d
+            row = written[r].setdefault(src, {})
+            if dst not in row:
+                row[dst] = level
                 if narrate is not None:
                     narrate(f"  set {roles_in_order[r].name}({name(src)},{name(dst)}) := {d}")
 
     # assemble the reduced interpretation, keeping original names and order;
-    # every entry is a nonzero Degree under a distinct pair of kept elements
+    # every entry is a positive scaled degree under a distinct pair of kept
+    # elements
     kept_sorted = sorted(added_order)
     old_to_new = {x: i for i, x in enumerate(kept_sorted)}
     domain = [name(x) for x in kept_sorted]
@@ -307,22 +302,17 @@ def approximate_minimize(
 
     concepts: Dict[str, FuzzySet] = {}
     for cname in sig.concept_names:
-        src = interp.concept_set(cname)
-        entries = {}
-        for x in kept_sorted:
-            val = src.value(x)
-            if not val.is_zero:
-                entries[old_to_new[x]] = val
+        src = interp.concept_set(cname)._entries
+        entries = {old_to_new[x]: src[x] for x in kept_sorted if x in src}
         if entries:
             concepts[cname] = FuzzySet._trusted(n1, entries)
 
     roles: Dict[str, FuzzyRelation] = {}
     for rname in sig.role_names:
         found = new_roles[rname]
-        if not found:
-            continue
-        entries = {(old_to_new[x], old_to_new[y]): deg for (x, y), deg in found.items()}
-        roles[rname] = FuzzyRelation._trusted(n1, n1, entries)
+        if found:
+            roles[rname] = FuzzyRelation._trusted(n1, n1, [
+                (old_to_new[x], {old_to_new[y]: d for y, d in row.items()}) for x, row in found.items()])
 
     reduced = FuzzyInterpretation(
         sig,
@@ -364,15 +354,15 @@ def construct_witness(
             ) from None
 
     partition = result.partition
-    level_of = {entry.element: entry.degree for entry in result.trace.added}
-    entries: Dict[Tuple[int, int], Degree] = {}
+    level_of = {entry.element: entry.degree.scaled for entry in result.trace.added}
+    rows: Dict[int, Dict[int, int]] = {}
     for new_idx, name in enumerate(result.reduced.domain):
         dy = level_of[name]
         # Z0(v, y) is the degree of the deepest block holding both, so y's
         # row of the partition meets every v with Z0(v, y) > 0 exactly once
         for degree, elems in partition.row(interp.element_index(name)):
-            d = tnorm(dy, degree)
+            d = dy if dy < degree else degree
             for v in elems:
-                entries[v, new_idx] = d
+                rows.setdefault(v, {})[new_idx] = d
     # d_y and every block degree walked are nonzero, so no entry is zero
-    return FuzzyRelation._trusted(interp.n, result.reduced.n, entries)
+    return FuzzyRelation._trusted(interp.n, result.reduced.n, rows.items())

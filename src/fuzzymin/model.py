@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .core import Degree, DegreeLike, FuzzyRelation, FuzzySet, ZERO
+from .core import DegreeLike, FuzzyRelation, FuzzySet
 
 VALID_FEATURES = frozenset({"I", "O"})
 
@@ -182,7 +182,7 @@ def make_interpretation(
         for elem, deg in facts.items():
             if elem not in index:
                 raise ValueError(f"concept fact {cname}({elem}) names unknown element")
-            entries[index[elem]] = deg if isinstance(deg, Degree) else Degree(deg)
+            entries[index[elem]] = deg
         csets[cname] = FuzzySet(n, entries)
 
     rrels: Dict[str, FuzzyRelation] = {}
@@ -191,7 +191,7 @@ def make_interpretation(
         for (x, y), deg in facts.items():
             if x not in index or y not in index:
                 raise ValueError(f"role fact {rname}({x},{y}) names unknown element")
-            entries[index[x], index[y]] = deg if isinstance(deg, Degree) else Degree(deg)
+            entries[index[x], index[y]] = deg
         rrels[rname] = FuzzyRelation(n, n, entries)
 
     return FuzzyInterpretation(signature, domain, ind, csets, rrels)

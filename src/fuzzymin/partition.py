@@ -204,18 +204,17 @@ class CompactFuzzyPartition:
             crisp.append(k == 0)
         return texts[0]
 
-    def row(self, x: int) -> Iterator[Tuple[Degree, List[int]]]:
+    def row(self, x: int) -> Iterator[Tuple[int, List[int]]]:
         """x's row of the equivalence, walked once up from x's leaf: for each
-        block of nonzero degree on the path, its degree and the elements first
-        met there, so every y with a positive degree to x comes exactly once
-        (x itself with degree 1, in its leaf)."""
-        order, parent, scaled, degrees, lo_of, hi_of = (
-            self.order, self.parent, self.scaled, self.degrees, self.lo, self.hi)
+        block of nonzero degree on the path, its scaled degree and the elements
+        first met there, so every y with a positive degree to x comes exactly
+        once (x itself with degree 1, in its leaf)."""
+        order, parent, scaled, lo_of, hi_of = self.order, self.parent, self.scaled, self.lo, self.hi
         b = self.leaf[x]
         lo = hi = lo_of[b]
         while b >= 0 and scaled[b]:
             # [lo, hi) is the span already visited
-            yield degrees[b], order[lo_of[b]:lo] + order[hi:hi_of[b]]
+            yield scaled[b], order[lo_of[b]:lo] + order[hi:hi_of[b]]
             lo, hi, b = lo_of[b], hi_of[b], parent[b]
 
     def degree(self, x: int, y: int) -> Degree:
@@ -231,14 +230,9 @@ class CompactFuzzyPartition:
 
     def relation(self, rows: range, cols: range) -> FuzzyRelation:
         """The fuzzy equivalence restricted to rows x cols, each side counted from 0."""
-        entries: Dict[Tuple[int, int], Degree] = {}
-        for x in rows:
-            a = x - rows.start
-            for degree, elems in self.row(x):
-                for y in elems:
-                    if y in cols:
-                        entries[a, y - cols.start] = degree
-        return FuzzyRelation._trusted(len(rows), len(cols), entries)
+        out = [{y - cols.start: degree for degree, elems in self.row(x) for y in elems if y in cols}
+               for x in rows]
+        return FuzzyRelation._trusted(len(rows), len(cols), enumerate(out))
 
     def __repr__(self) -> str:
         return f"CompactFuzzyPartition(n={self.n}, blocks={len(self.parent)})"

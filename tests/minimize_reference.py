@@ -156,7 +156,7 @@ def approximate_minimize_reference(
             if not val.is_zero:
                 entries[old_to_new[x]] = val
         if entries:
-            concepts[cname] = FuzzySet._trusted(n1, entries)
+            concepts[cname] = FuzzySet(n1, entries)
 
     roles: Dict[str, FuzzyRelation] = {}
     for rname in sig.role_names:
@@ -164,7 +164,7 @@ def approximate_minimize_reference(
         if not bucket:
             continue
         entries = {(old_to_new[x], old_to_new[y]): deg for (x, y), deg in bucket.items()}
-        roles[rname] = FuzzyRelation._trusted(n1, n1, entries)
+        roles[rname] = FuzzyRelation(n1, n1, entries)
 
     reduced = FuzzyInterpretation(
         sig,

@@ -40,7 +40,11 @@ def assert_same_run(interp, params):
 
 
 def assert_sorted_items(rel):
-    assert list(rel.items()) == sorted(rel._entries.items())
+    # every stored row is sorted by target, and items() hands out exactly the
+    # stored entries, sorted by pair
+    assert all(list(row) == sorted(row) for row in rel._fwd)
+    stored = [((i, j), Degree.from_scaled(s)) for i, row in enumerate(rel._fwd) for j, s in row.items()]
+    assert list(rel.items()) == sorted(stored)
 
 
 def many_degrees(n, distinct, seed):
@@ -107,9 +111,13 @@ class TestItemsOrder:
         cells = [(i, j) for i in range(rows) for j in range(cols)]
         pairs = [(cell, Degree(rng.choice(PALETTE))) for cell in rng.sample(cells, rng.randint(0, len(cells)))]
         rng.shuffle(pairs)
-        for rel in (FuzzyRelation(rows, cols, pairs), FuzzyRelation._trusted(rows, cols, dict(pairs))):
+        by_source = {}
+        for (i, j), d in pairs:
+            by_source.setdefault(i, {})[j] = d.scaled
+        for rel in (FuzzyRelation(rows, cols, pairs), FuzzyRelation._trusted(rows, cols, by_source.items())):
             assert_sorted_items(rel)
             assert_sorted_items(rel.inverse())
+            assert list(rel.items()) == sorted(pairs)
 
     def test_reductions_and_witnesses(self):
         interp = many_degrees(200, 40, seed=21)

@@ -46,7 +46,7 @@ def assert_same_tree(log, names):
     assert tree.render(renamed) == render_reference(reference, renamed)
     equivalence = tree.to_equivalence()
     for x in range(tree.n):
-        row = [(y, degree) for degree, elems in tree.row(x) for y in elems]
+        row = [(y, Degree.from_scaled(degree)) for degree, elems in tree.row(x) for y in elems]
         assert sorted(row) == list(equivalence.successors(x))
 
 

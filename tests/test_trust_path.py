@@ -1,8 +1,8 @@
 """The trust path against the implementations it replaced.
 
 ``bisimilarity_degree`` refines only what the individuals reach and reads
-the degrees off the split log; ``check_bisimulation`` compares scaled ints over
-rows indexed once.  ``bisim_reference`` keeps the whole-union tree and the
+the degrees off the split log; ``check_bisimulation`` compares scaled ints on
+the relations' own rows.  ``bisim_reference`` keeps the whole-union tree and the
 per-successor-pair check, and both must agree exactly: equal degrees and
 byte-identical violation lists.
 """
@@ -16,7 +16,7 @@ from fuzzymin import (
     check_bisimulation,
     construct_witness,
 )
-from fuzzymin.bisim import _refine, _union_graph
+from fuzzymin.bisim import _flatten, _reach, _refine, _union_graph, to_fuzzy_graph
 from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, biresiduum
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
@@ -101,6 +101,40 @@ class TestDifferential:
         for build in (twin_stars, layered_cycles, two_chains, research_network):
             for features in FEATURE_SETS:
                 assert_same_on_reductions(build(), features)
+
+
+def reach_reference(labels, out, seeds):
+    """``_flatten``'s lists cut down to what the seeds reach: the seeds in
+    order, then the targets of each numbered vertex's edges as listed, each
+    vertex numbered when first met."""
+    index = [-1] * len(labels)
+    order = []
+    for v in seeds:
+        if index[v] < 0:
+            index[v] = len(order)
+            order.append(v)
+    for v in order:  # grows while it is walked
+        for _, _, y in out[v]:
+            if index[y] < 0:
+                index[y] = len(order)
+                order.append(y)
+    return [labels[v] for v in order], [[(d, r, index[y]) for d, r, y in out[v]] for v in order], index
+
+
+class TestReachEncoding:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(interpretation_pairs(), st.sampled_from(FEATURE_SETS), st.data())
+    def test_reach_is_flatten_cut_to_the_reached_part(self, case, features, data):
+        first, second, _ = case
+        graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
+        labels, out, nroles = _flatten(graphs)
+        # the individual pairs, as bisimilarity_degree seeds them, then a few more
+        seeds = [v for a in first.signature.individual_names
+                 for v in (first.individual_element(a), first.n + second.individual_element(a))]
+        seeds += data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=3))
+        got_labels, got_out, got_nroles, index = _reach(graphs, seeds)
+        assert (got_labels, got_out, index) == reach_reference(labels, out, seeds)
+        assert got_nroles == nroles
 
 
 class TestDegreeOffTheLog:
