@@ -23,6 +23,22 @@ generated subinterpretations, so it refines just the part of the union the
 individuals reach over the edges (inverse roles are edges too) and reads
 each degree off the split log, without building a block tree.
 
+The four engine entries (``auto_partition``, ``greatest_bisimulation``,
+``bisimilarity_degree`` and ``build_compact_partition``) run with the cyclic
+garbage collector paused (``_collector_paused``).  A call allocates a tuple
+per label and edge, a frozenset per signature and a list per vertex;
+unpaused, these start a collection pass every few hundred containers, and
+each pass walks objects that cannot be part of a cycle.  That is the
+condition that makes the pause safe: the engine builds only acyclic
+containers (of ints, strings and ``Degree``s), so reference counting frees
+every temporary and a call leaves nothing for the collector to find
+(``TestCollectorPause`` in ``tests/test_bisim.py`` pins this).  The pause
+spans the whole call, so the call's frame, and with it the encoded graph
+and the refinement's temporaries, is freed before the collector is back
+on, and the first pass after it walks only what the call left alive.  The
+collector comes back on only if it was on at entry, also when the call
+raises.
+
 ``check_bisimulation`` is the oracle for all of this: it tests a relation
 against the four defining conditions directly and shares no code with the
 engine.
@@ -36,8 +52,10 @@ min(phi(x, y), phi(x', y)) >= phi(x, x'), so Z >= phi.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import (
     Degree,
@@ -322,6 +340,22 @@ def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[SplitLog, int]:
     return SplitLog([Degree.from_scaled(d) for d in levels], block, origin, born), rounds
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic collector off for the duration, and back on afterwards
+    only if it was on at entry.  As a decorator (``@_collector_paused()``)
+    it pauses a whole call, whose frame is freed before the collector comes
+    back on (see the module docstring)."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
+@_collector_paused()
 def auto_partition(
     interp: FuzzyInterpretation, features: Iterable[str] | None
 ) -> Tuple[CompactFuzzyPartition, int]:
@@ -331,6 +365,7 @@ def auto_partition(
     return partition_from_log(log, interp.domain), rounds
 
 
+@_collector_paused()
 def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = None) -> CompactFuzzyPartition:
     """Block tree of a fuzzy equivalence given as a sparse relation, built by
     the engine from phi's rows (see the module docstring).  On any other
@@ -366,6 +401,7 @@ def _union_graph(
     return _flatten([to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)])
 
 
+@_collector_paused()
 def greatest_bisimulation(
     interp1: FuzzyInterpretation,
     interp2: FuzzyInterpretation,
@@ -389,6 +425,7 @@ def greatest_auto_bisimulation(
     return greatest_bisimulation(interp, interp, features)
 
 
+@_collector_paused()
 def bisimilarity_degree(
     interp1: FuzzyInterpretation,
     interp2: FuzzyInterpretation,

@@ -225,13 +225,20 @@ def write_interpretation(interp: FuzzyInterpretation) -> str:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of a file, or of stdin for "-", decoded strictly as UTF-8
+    whatever the locale."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _write_output(path: str, text: str) -> None:

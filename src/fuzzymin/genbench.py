@@ -192,6 +192,8 @@ def run_bench(
     repeats: int = 3,
 ) -> List[BenchRow]:
     """Generate, minimize and average; timing covers the minimizer only."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     if not isinstance(gamma, Degree):
         gamma = Degree(gamma)
     rows: List[BenchRow] = []

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -23,8 +24,8 @@ from fuzzymin.concepts import eval_concept, interpretation_degree_pool, random_c
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize, construct_witness
 from bisim_reference import cuts_from_log, greatest_bisimulation_reference
-from instances import alternating_chain, layered_cycles, twin_stars, two_chains
-from strategies import feature_sets, interpretation_pairs, interpretations
+from instances import alternating_chain, layered_cycles, research_network, twin_stars, two_chains
+from strategies import FEATURE_SETS, feature_sets, interpretation_pairs, interpretations
 
 D = Degree
 
@@ -491,3 +492,103 @@ class TestBisimilarityDegree:
         interp = two_chains()
         result = approximate_minimize(interp, MinimizeParams(frozenset(), D("0.8")))
         assert bisimilarity_degree(interp, result.reduced, frozenset()) >= D("0.8")
+
+
+def engine_calls(first, second, features):
+    """Each engine entry on the pair, as thunks; the relation handed to
+    ``build_compact_partition`` is built here, before any of them runs."""
+    phi = auto_partition(first, features)[0].to_equivalence()
+    return [
+        lambda: auto_partition(first, features),
+        lambda: greatest_bisimulation(first, second, features),
+        lambda: bisimilarity_degree(first, second, features),
+        lambda: build_compact_partition(phi, first.domain),
+    ]
+
+
+def garbage_left_by(calls):
+    """Objects the cyclic collector finds unreachable after each of ``calls``
+    has run, with the collector off so that no pass during them takes any."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        results = [call() for call in calls]
+        found = gc.collect()
+        del results
+        return found
+    finally:
+        if was_on:
+            gc.enable()
+
+
+class TestCollectorPause:
+    """The engine entries run with the collector paused; that is safe only
+    because they build no reference cycles."""
+
+    NAMED = (twin_stars, layered_cycles, two_chains, research_network)
+
+    def test_named_instances_leave_no_garbage(self):
+        for build in self.NAMED:
+            for features in FEATURE_SETS:
+                calls = engine_calls(build(), build(), features)
+                assert garbage_left_by(calls) == 0, (build.__name__, sorted(features))
+
+    @settings(max_examples=30, deadline=None)
+    @given(interpretation_pairs())
+    def test_generated_pairs_leave_no_garbage(self, case):
+        assert garbage_left_by(engine_calls(*case)) == 0
+
+    def test_collector_state_is_restored(self):
+        interp, other = layered_cycles(), two_chains()
+        non_equivalence = FuzzyRelation(2, 2, {(0, 0): ONE, (0, 1): D("0.5"), (1, 1): ONE})
+        returning = engine_calls(interp, layered_cycles(), frozenset("IO"))
+        raising = [
+            (lambda: bisimilarity_degree(interp, other), "different signatures"),
+            (lambda: greatest_bisimulation(interp, other), "different signatures"),
+            (lambda: build_compact_partition(non_equivalence), "not a fuzzy equivalence"),
+        ]
+        was_on = gc.isenabled()
+        try:
+            for on in (True, False):
+                for call in returning:
+                    (gc.enable if on else gc.disable)()
+                    call()
+                    assert gc.isenabled() is on
+                for call, message in raising:
+                    (gc.enable if on else gc.disable)()
+                    with pytest.raises(ValueError, match=message):
+                        call()
+                    assert gc.isenabled() is on
+        finally:
+            (gc.enable if was_on else gc.disable)()
+
+    def test_no_pass_starts_inside_the_degree(self):
+        # the gamma-sweep workload's shape and seed, reduced at one gamma
+        interp = generate(GeneratorParams(4, 125, 1000, 5, 25, 6, 3, 2, True, False, True, 7700))
+        features = interp.signature.features
+        reduced = approximate_minimize(interp, MinimizeParams(features, D("0.714285714"))).reduced
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        def degree_passes():
+            passes.clear()
+            gc.callbacks.append(count)
+            try:
+                bisimilarity_degree(interp, reduced, features)
+            finally:
+                gc.callbacks.remove(count)
+            return list(passes)
+
+        assert gc.isenabled()
+        gc.collect()
+        # gc.collect() empties the interpreter's free lists, and a tuple freed
+        # into one does not lower the collector's allocation count, so the
+        # first call ends the pause above the young threshold: one young pass
+        # over what survives the call (unpaused, it runs about 30)
+        assert degree_passes() in ([], [0])
+        # with the free lists filled, as in any running program, none at all
+        assert degree_passes() == []

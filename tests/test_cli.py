@@ -169,11 +169,16 @@ class TestFileFormat:
         assert reparsed == interp
 
 
+def fake_stdin(data):
+    """A stdin whose underlying bytes are ``data`` (a str is encoded as UTF-8)."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
-        import io
-        import sys
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr(sys, "stdin", fake_stdin(stdin_text))
     status = main(argv)
     captured = capsys.readouterr()
     return status, captured.out, captured.err
@@ -318,6 +323,33 @@ class TestCommands:
         assert "parameters" in out
         assert csv.read_text().startswith("params,n1,m1,reduction,seconds")
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_repeats_below_one_exit_1(self, tmp_path, capsys, repeats):
+        spec = tmp_path / "bench.txt"
+        spec.write_text("2 10 15 2 4 3 2 2 1 0 0\n")
+        status, out, err = run_cli(capsys, ["bench", "--spec", str(spec), "--repeats", repeats])
+        assert (status, out) == (1, "")
+        assert err == f"error: repeats must be at least 1, got {repeats}\n"
+
+    @pytest.mark.parametrize("route", ["in", "other", "spec", "stdin"])
+    def test_input_that_is_not_utf8_exits_1(self, tmp_path, capsys, monkeypatch, route):
+        # a byte that no UTF-8 text holds, in a comment the parser would skip
+        bad = b"# \xff\n" + TWIN_FILE.encode()
+        good = tmp_path / "good.txt"
+        good.write_text(TWIN_FILE)
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# \xff\n2 10 15 2 4 3 2 2 1 0 0\n" if route == "spec" else bad)
+        argv = {
+            "in": ["minimize", "--in", str(path)],
+            "other": ["bisim", "--in", str(good), "--other", str(path)],
+            "spec": ["bench", "--spec", str(path)],
+            "stdin": ["partition"],
+        }[route]
+        status, out, err = run_cli(capsys, argv, bad if route == "stdin" else None, monkeypatch)
+        where = "-" if route == "stdin" else str(path)
+        assert (status, out) == (1, "")
+        assert err == f"error: cannot read {where}: not UTF-8 (invalid start byte at byte 2)\n"
+
     def test_exit_codes(self, tmp_path, capsys):
         # input errors exit with 1
         status, out, err = run_cli(capsys, ["minimize", "--in", str(tmp_path / "nope.txt")])
@@ -415,7 +447,7 @@ class TestProperties:
         for i in range(400):
             mutant = self.mutate(rng, rng.choice(texts))
             command = ["partition", "minimize"][i % 2]
-            monkeypatch.setattr(sys, "stdin", io.StringIO(mutant))
+            monkeypatch.setattr(sys, "stdin", fake_stdin(mutant))
             status = main([command, "--gamma", "0.5"] if command == "minimize" else [command])
             err = capsys.readouterr().err
             assert status in statuses, (command, mutant, err)

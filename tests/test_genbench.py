@@ -124,6 +124,11 @@ class TestRunBench:
         assert run_bench([], ONE, 3) == []
         assert format_table([]).startswith("#")
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_rejected(self, repeats):
+        with pytest.raises(ValueError, match=f"repeats must be at least 1, got {repeats}"):
+            run_bench([moderate()], ONE, repeats)
+
     def test_single_repeat_matches_direct_run(self):
         from fuzzymin.genbench import derive_seed
         params = moderate(seed=4)
