@@ -23,6 +23,13 @@ generated subinterpretations, so it refines just the part of the union the
 individuals reach over the edges (inverse roles are edges too) and reads
 each degree off the split log, without building a block tree.
 
+One encoder, ``_encode``, turns the graphs into the refinement's input for
+all three: it lays them side by side and keeps the part that given seeds
+reach, every vertex for ``auto_partition`` and ``greatest_bisimulation``
+and the individuals' vertices for ``bisimilarity_degree``.  The two
+entries over two interpretations share one prologue (``_union_graphs``):
+the signature check, the feature set and the two graphs.
+
 The four engine entries (``auto_partition``, ``greatest_bisimulation``,
 ``bisimilarity_degree`` and ``build_compact_partition``) run with the cyclic
 garbage collector paused (``_collector_paused``).  A call allocates a tuple
@@ -70,6 +77,7 @@ from .model import (
     FuzzyInterpretation,
     basic_roles,
     normalize_features,
+    require_same_signature,
 )
 from .partition import CompactFuzzyPartition, SplitLog, partition_from_log
 
@@ -128,43 +136,24 @@ Labels = List[List[Tuple[int, int]]]      # vertex -> [(token, scaled degree)]
 Edges = List[List[Tuple[int, int, int]]]  # vertex -> [(scaled degree, role, target)]
 
 
-def _flatten(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[Labels, Edges, int]:
-    """Per-vertex label and edge lists of the graphs side by side, each one's
-    vertices shifted by the sizes of those before it, plus the number of
-    roles.  Tokens and roles are numbered in the first graph's order.
+def _encode(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[Labels, Edges, int, List[int]]:
+    """Per-vertex label and edge lists of the part of the graphs that the
+    seeds reach over the edges, plus the number of roles and each vertex's
+    number there (-1 if not reached).  The graphs stand side by side, each
+    one's vertices shifted by the sizes of those before it; a nominal label
+    marks one vertex in each copy, which is why a union is built here and
+    not as an interpretation.  This is the engine's one encoder: with every
+    vertex a seed (``range(N)``) it encodes the whole graph, and the
+    numbering is the identity.
 
-    A nominal label marks one vertex in each copy, which is why a union is
-    built here and not as an interpretation.  A vertex's labels come in
+    Vertices are numbered breadth first: the seeds in order, then the
+    targets of each numbered vertex's edges as listed.  Tokens and roles
+    are numbered in the first graph's order.  A vertex's labels come in
     token order and its edges in role order, each role's by target (the
     order of a relation's rows), so the sets and relations are read
-    unsorted: the vertices' order among themselves changes no vertex's list.
-    """
-    tokens, roles = graphs[0].vertex_labels, graphs[0].edge_labels
-    labels: Labels = []
-    out: Edges = []
-    for g in graphs:
-        shift = len(labels)
-        labels.extend([] for _ in range(g.n))
-        out.extend([] for _ in range(g.n))
-        for t, token in enumerate(tokens):
-            for v, d in g.labels[token]._entries.items():
-                labels[shift + v].append((t, d))
-        for r, role in enumerate(roles):
-            for x, row in enumerate(g.edges[role]._fwd):
-                edges = out[shift + x]
-                for y, d in row.items():
-                    edges.append((d, r, shift + y))
-    return labels, out, len(roles)
-
-
-def _reach(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[Labels, Edges, int, List[int]]:
-    """``_flatten`` cut down to the vertices the seeds reach over the edges,
-    plus each vertex's number there (-1 if not reached).  Vertices are
-    numbered breadth first: the seeds in order, then the targets of each
-    numbered vertex's edges as listed.  Labels and edges come in
-    ``_flatten``'s order, edges read off the graphs' rows and labels off one
-    pass over each label set, so a vertex that is not reached costs nothing
-    beyond the O(n) numbering.
+    unsorted: edges off the graphs' rows and labels off one pass over each
+    label set.  A vertex that is not reached costs nothing beyond the O(n)
+    numbering.
     """
     tokens, roles = graphs[0].vertex_labels, graphs[0].edge_labels
     sides, owner = [], []
@@ -269,7 +258,7 @@ def _split(
 
 def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[SplitLog, int]:
     """The d-cuts of the greatest fuzzy auto-bisimulation of a graph given as
-    per-vertex label and edge lists (see ``_flatten``), as a split log.
+    per-vertex label and edge lists (see ``_encode``), as a split log.
 
     Returns the log (see ``SplitLog``: the degree levels in ascending order,
     the last one 1, each vertex's final class, and each class's origin and
@@ -361,7 +350,7 @@ def auto_partition(
 ) -> Tuple[CompactFuzzyPartition, int]:
     """Compact fuzzy partition of the greatest fuzzy auto-bisimulation, and
     the number of signature rounds it took."""
-    log, rounds = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
+    log, rounds = _refine(*_encode([to_fuzzy_graph(interp, features)], range(interp.n))[:3])
     return partition_from_log(log, interp.domain), rounds
 
 
@@ -388,17 +377,17 @@ def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = No
     return tree
 
 
-def _union_graph(
+def _union_graphs(
     interp1: FuzzyInterpretation,
     interp2: FuzzyInterpretation,
     features: Iterable[str] | None,
-) -> Tuple[Labels, Edges, int]:
-    """The disjoint union flattened for ``_refine``; interp2's element y is
-    vertex interp1.n + y."""
-    if not interp1.signature.same_names(interp2.signature):
-        raise ValueError("interpretations use different signatures")
+) -> List[FuzzyLabeledGraph]:
+    """The two interpretations encoded over their one signature, for
+    ``_encode`` to put side by side: interp2's element y is vertex
+    interp1.n + y of their disjoint union."""
+    require_same_signature(interp1, interp2)
     fs = normalize_features(features)
-    return _flatten([to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)])
+    return [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
 
 
 @_collector_paused()
@@ -413,9 +402,10 @@ def greatest_bisimulation(
     if interp1 is interp2:
         partition, rounds = auto_partition(interp1, features)
         return BisimResult(partition.to_equivalence(), rounds)
-    log, rounds = _refine(*_union_graph(interp1, interp2, features))
-    partition = partition_from_log(log, interp1.domain + interp2.domain)
+    graphs = _union_graphs(interp1, interp2, features)
     n1 = interp1.n
+    log, rounds = _refine(*_encode(graphs, range(n1 + interp2.n))[:3])
+    partition = partition_from_log(log, interp1.domain + interp2.domain)
     return BisimResult(partition.relation(range(n1), range(n1, partition.n)), rounds)
 
 
@@ -435,24 +425,23 @@ def bisimilarity_degree(
 
     Z(x, x') depends only on the part of the union that x and x' reach over
     its edges, inverse roles included (bisimulation is invariant under
-    generated subinterpretations), so only the vertices the individuals
-    reach are encoded (``_reach``) and refined, and each degree is read off
+    generated subinterpretations), so the engine's one encoder (``_encode``,
+    the same that feeds ``auto_partition`` and ``greatest_bisimulation``
+    the whole graph) is seeded with the individuals' vertices alone: only
+    what they reach is encoded and refined, and each degree is read off
     the split log (``SplitLog.degree``): the last level whose cut still
     holds both vertices in one class.  Like the reduction it checks, whose
     links cost O(log l) each for l distinct role degrees (the paper's
     O(m log l)), it costs nothing per element that no individual reaches,
     beyond an O(n) numbering.
     """
-    if not interp1.signature.same_names(interp2.signature):
-        raise ValueError("interpretations use different signatures")
-    fs = normalize_features(features)
+    graphs = _union_graphs(interp1, interp2, features)
     n1 = interp1.n
     pairs = [
         (interp1.individual_element(a), n1 + interp2.individual_element(a))
         for a in interp1.signature.individual_names
     ]
-    graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
-    labels, out, nroles, index = _reach(graphs, [v for pair in pairs for v in pair])
+    labels, out, nroles, index = _encode(graphs, [v for pair in pairs for v in pair])
     log, _ = _refine(labels, out, nroles)
     return min(log.degree(index[x], index[xp]) for x, xp in pairs)
 
@@ -486,8 +475,10 @@ def check_bisimulation(
     Pairs with Z = 0 satisfy everything vacuously, so only the support of Z
     is examined.  Condition (4) applies only when nominals are enabled.
     Degrees are compared as scaled ints on the sets' and relations' own
-    rows, and a ``Degree`` is built only for a reported violation.
+    rows, and a ``Degree`` is built only for a reported violation.  The two
+    interpretations must share one signature, as for the engine entries.
     """
+    require_same_signature(interp1, interp2)
     fs = normalize_features(features)
     if (Z.rows, Z.cols) != (interp1.n, interp2.n):
         raise ValueError("relation shape does not match the interpretation domains")

@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from .core import Degree, FuzzyRelation, FuzzySet, ONE, SCALE, ScaledRows, biresiduum
 from .core import _maxmin_rows
-from .model import FuzzyInterpretation, Signature, normalize_features
+from .model import FuzzyInterpretation, Signature, normalize_features, require_same_signature
 
 
 # --------------------------------------------------------------------------
@@ -739,8 +739,7 @@ def preservation_report(
 ) -> PreservationReport:
     """Sample full-language concepts and compare their values at every named
     individual; any agreement degree below gamma is a counterexample."""
-    if not interp1.signature.same_names(interp2.signature):
-        raise ValueError("interpretations use different signatures")
+    require_same_signature(interp1, interp2)
     if not isinstance(gamma, Degree):
         gamma = Degree(gamma)
     rng = random.Random(seed)

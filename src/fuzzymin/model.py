@@ -18,11 +18,11 @@ def normalize_features(features: Iterable[str] | None) -> frozenset:
     return fs
 
 
-def _check_token(name: str, what: str) -> None:
-    # non-empty and free of whitespace: str.split splits on exactly the
-    # characters str.isspace accepts
-    if name.split() != [name]:
-        raise ValueError(f"{what} must be a non-empty token without whitespace: {name!r}")
+def _is_token(name: str) -> bool:
+    """Whether a name reads back as itself from the text format: non-empty,
+    free of whitespace (str.split splits on exactly the characters
+    str.isspace accepts) and free of ``#``, which starts a comment."""
+    return name.split() == [name] and "#" not in name
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ class Signature:
             ("individual", self.individual_names),
         ):
             for name in names:
-                _check_token(name, f"{kind} name")
+                if not _is_token(name):
+                    raise ValueError(f"{kind} name must be a non-empty token without whitespace or '#': {name!r}")
                 if name in seen:
                     raise ValueError(f"name {name!r} used as both {seen[name]} and {kind}")
                 seen[name] = kind
@@ -152,6 +153,11 @@ class FuzzyInterpretation:
         return f"FuzzyInterpretation(n={self.n}, individuals={self.individuals})"
 
 
+def require_same_signature(interp1: FuzzyInterpretation, interp2: FuzzyInterpretation) -> None:
+    if not interp1.signature.same_names(interp2.signature):
+        raise ValueError("interpretations use different signatures")
+
+
 def make_interpretation(
     signature: Signature,
     domain: Iterable[str],
@@ -207,8 +213,8 @@ def validate(interp: FuzzyInterpretation) -> list:
     if len(set(interp.domain)) != len(interp.domain):
         out.append("duplicate domain element names")
     for name in interp.domain:
-        if name.split() != [name]:  # the token test of _check_token
-            out.append(f"domain element name is not a whitespace-free token: {name!r}")
+        if not _is_token(name):
+            out.append(f"domain element name is not a whitespace-free token without '#': {name!r}")
     for a in sig.individual_names:
         if a not in interp.individuals:
             out.append(f"individual {a} has no assigned element")

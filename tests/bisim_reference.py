@@ -4,6 +4,9 @@ differential tests against ``fuzzymin.bisim``.
 - ``greatest_bisimulation_reference`` is a small order-parameterized
   refinement engine over the pairs of the two domains; it shares no code
   with the level-wise signature engine.
+- ``encode_reference`` lists each vertex's labels and edges from the graphs'
+  sorted ``items()``, the lists the engine's encoder must give for the whole
+  graph.
 - ``cuts_from_log`` expands the engine's split log into the class of every
   vertex at every level.
 - ``bisimilarity_degree_reference`` refines the whole disjoint union and
@@ -18,11 +21,30 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from fuzzymin.bisim import BisimViolation, _flatten, _refine, to_fuzzy_graph
+from fuzzymin.bisim import BisimViolation, FuzzyLabeledGraph, _encode, _refine, to_fuzzy_graph
 from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, biresiduum, tnorm
 from fuzzymin.model import FuzzyInterpretation, basic_roles, normalize_features
 from fuzzymin.partition import SplitLog
 from partition_reference import partition_from_cuts_reference
+
+
+def encode_reference(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[list, list, int]:
+    """Per-vertex label lists [(token, scaled degree)] and edge lists
+    [(scaled degree, role, target)] of the graphs side by side, each one's
+    vertices shifted by the sizes of those before it, plus the number of
+    roles: read off the public, sorted ``items()``."""
+    labels, out = [], []
+    for g in graphs:
+        shift = len(labels)
+        labels += [[] for _ in range(g.n)]
+        out += [[] for _ in range(g.n)]
+        for t, token in enumerate(g.vertex_labels):
+            for v, d in g.labels[token].items():
+                labels[shift + v].append((t, d.scaled))
+        for r, role in enumerate(g.edge_labels):
+            for (x, y), d in g.edges[role].items():
+                out[shift + x].append((d.scaled, r, shift + y))
+    return labels, out, len(graphs[0].edge_labels)
 
 
 def cuts_from_log(log: SplitLog) -> List[List[int]]:
@@ -48,7 +70,7 @@ def bisimilarity_degree_reference(
         raise ValueError("interpretations use different signatures")
     fs = normalize_features(features)
     graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
-    log, _ = _refine(*_flatten(graphs))
+    log, _ = _refine(*_encode(graphs, range(interp1.n + interp2.n))[:3])
     partition = partition_from_cuts_reference(log.levels, cuts_from_log(log), interp1.domain + interp2.domain)
     n1 = interp1.n
     return min(

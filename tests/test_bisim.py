@@ -18,12 +18,12 @@ from fuzzymin import (
     make_interpretation,
     to_fuzzy_graph,
 )
-from fuzzymin.bisim import _flatten, _refine
+from fuzzymin.bisim import _encode, _refine
 from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE, ZERO, biresiduum
 from fuzzymin.concepts import eval_concept, interpretation_degree_pool, random_concept
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize, construct_witness
-from bisim_reference import cuts_from_log, greatest_bisimulation_reference
+from bisim_reference import cuts_from_log, encode_reference, greatest_bisimulation_reference
 from instances import alternating_chain, layered_cycles, research_network, twin_stars, two_chains
 from strategies import FEATURE_SETS, feature_sets, interpretation_pairs, interpretations
 
@@ -83,23 +83,16 @@ class TestGraphEncoding:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs())
-    def test_flatten_lists_match_the_sorted_items(self, case):
-        # _flatten reads the rows unsorted; every vertex's lists must still
-        # be the ones the sorted items() give
+    def test_full_encoding_matches_the_sorted_items(self, case):
+        # _encode reads the rows unsorted; with every vertex a seed, every
+        # vertex's lists must still be the ones the sorted items() give,
+        # and the numbering must be the identity
         first, second, features = case
         graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
-        labels, out = [], []
-        for g in graphs:
-            shift = len(labels)
-            labels += [[] for _ in range(g.n)]
-            out += [[] for _ in range(g.n)]
-            for t, token in enumerate(g.vertex_labels):
-                for v, d in g.labels[token].items():
-                    labels[shift + v].append((t, d.scaled))
-            for r, role in enumerate(g.edge_labels):
-                for (x, y), d in g.edges[role].items():
-                    out[shift + x].append((d.scaled, r, shift + y))
-        assert _flatten(graphs) == (labels, out, len(graphs[0].edge_labels))
+        n = first.n + second.n
+        labels, out, nroles, index = _encode(graphs, range(n))
+        assert (labels, out, nroles) == encode_reference(graphs)
+        assert index == list(range(n))
 
 
 class TestGreatestBisimulation:
@@ -333,14 +326,14 @@ class TestSignatureRefinement:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(interpretations(), feature_sets)
     def test_worklist_engine_matches_full_recompute(self, interp, features):
-        assert_engine_matches_reference(_flatten([to_fuzzy_graph(interp, features)]))
+        assert_engine_matches_reference(_encode([to_fuzzy_graph(interp, features)], range(interp.n))[:3])
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs())
     def test_worklist_engine_matches_full_recompute_on_unions(self, case):
         first, second, features = case
-        assert_engine_matches_reference(
-            _flatten([to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]))
+        graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
+        assert_engine_matches_reference(_encode(graphs, range(first.n + second.n))[:3])
 
     def test_dead_edge_source_with_unchanged_signature_keeps_its_class(self):
         # entering level 0.8, the A labels of u and v drop below it and split
@@ -352,7 +345,7 @@ class TestSignatureRefinement:
             {"A": {"u": "0.5", "v": "0.5", "w": 1}},
             {"r": {("u", "t1"): "0.5", ("u", "t2"): 1, ("v", "t2"): 1, ("w", "t2"): "0.8"}},
         )
-        assert_engine_matches_reference(_flatten([to_fuzzy_graph(interp, frozenset())]))
+        assert_engine_matches_reference(_encode([to_fuzzy_graph(interp, frozenset())], range(interp.n))[:3])
         partition, _ = auto_partition(interp, frozenset())
         u, v = interp.element_index("u"), interp.element_index("v")
         assert partition.degree(u, v) == ONE
@@ -546,6 +539,7 @@ class TestCollectorPause:
         raising = [
             (lambda: bisimilarity_degree(interp, other), "different signatures"),
             (lambda: greatest_bisimulation(interp, other), "different signatures"),
+            (lambda: check_bisimulation(FuzzyRelation(interp.n, other.n, {}), interp, other), "different signatures"),
             (lambda: build_compact_partition(non_equivalence), "not a fuzzy equivalence"),
         ]
         was_on = gc.isenabled()

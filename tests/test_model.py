@@ -69,11 +69,13 @@ class TestValidate:
 
 class TestTokenCheck:
     """The token test in ``Signature`` and ``validate`` agrees with the
-    per-character ``isspace`` scan it replaced."""
+    per-character ``isspace`` scan it replaced, and also rejects ``#``, which
+    starts a comment in the text format."""
 
     NAMES = (
         "", " ", "u", "u'", "\u00e9", "u\u200bv",  # zero-width space is not whitespace
         " u", "u ", "u v", "u\tv", "u\nv",
+        "#", "#u", "u#", "u#1", "A#x", "u #",
         *(f"{c}u" for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028"),
         *(f"u{c}" for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028"),
         *(f"u{c}v" for c in "\x1c\x1d\x1e\x1f\x85\xa0\u2028"),
@@ -81,8 +83,9 @@ class TestTokenCheck:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_split_form_matches_isspace_form(self, name):
-        bad = not name or any(ch.isspace() for ch in name)
-        assert (name.split() != [name]) == bad
+        blank = not name or any(ch.isspace() for ch in name)
+        bad = blank or "#" in name
+        assert (name.split() != [name]) == blank
         interp = FuzzyInterpretation(
             Signature(("A",), ("r",), ("a",)), ["x", name], {"a": 0}, {}, {}
         )

@@ -17,7 +17,7 @@ from fuzzymin import (
     check_bisimulation,
     construct_witness,
 )
-from fuzzymin.bisim import _flatten, _refine, _union_graph, to_fuzzy_graph
+from fuzzymin.bisim import _encode, _refine, _union_graphs, to_fuzzy_graph
 from fuzzymin.core import Degree, ONE
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.partition import Block, partition_from_log
@@ -54,20 +54,20 @@ class TestAgainstReference:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(interpretations(), feature_sets)
     def test_auto_partitions(self, interp, features):
-        log, _ = _refine(*_flatten([to_fuzzy_graph(interp, features)]))
+        log, _ = _refine(*_encode([to_fuzzy_graph(interp, features)], range(interp.n))[:3])
         assert_same_tree(log, interp.domain)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs())
     def test_union_partitions(self, case):
         first, second, features = case
-        log, _ = _refine(*_union_graph(first, second, features))
+        log, _ = _refine(*_encode(_union_graphs(first, second, features), range(first.n + second.n))[:3])
         assert_same_tree(log, first.domain + second.domain)
 
     def test_deep_staircase(self):
         # deep enough to matter, shallow enough for the reference's recursion
         stairs = staircase(300)
-        log, _ = _refine(*_flatten([to_fuzzy_graph(stairs, frozenset())]))
+        log, _ = _refine(*_encode([to_fuzzy_graph(stairs, frozenset())], range(stairs.n))[:3])
         assert_same_tree(log, stairs.domain)
 
 

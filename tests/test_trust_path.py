@@ -16,12 +16,17 @@ from fuzzymin import (
     check_bisimulation,
     construct_witness,
 )
-from fuzzymin.bisim import _flatten, _reach, _refine, _union_graph, to_fuzzy_graph
+from fuzzymin.bisim import _encode, _refine, _union_graphs, to_fuzzy_graph
 from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, biresiduum
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
 from fuzzymin.model import make_interpretation
-from bisim_reference import bisimilarity_degree_reference, check_bisimulation_reference, cuts_from_log
+from bisim_reference import (
+    bisimilarity_degree_reference,
+    check_bisimulation_reference,
+    cuts_from_log,
+    encode_reference,
+)
 from instances import layered_cycles, research_network, staircase, twin_stars, two_chains
 from strategies import FEATURE_SETS, PALETTE, interpretation_pairs
 
@@ -104,9 +109,9 @@ class TestDifferential:
 
 
 def reach_reference(labels, out, seeds):
-    """``_flatten``'s lists cut down to what the seeds reach: the seeds in
-    order, then the targets of each numbered vertex's edges as listed, each
-    vertex numbered when first met."""
+    """Whole-graph lists (``encode_reference``'s) cut down to what the seeds
+    reach: the seeds in order, then the targets of each numbered vertex's
+    edges as listed, each vertex numbered when first met."""
     index = [-1] * len(labels)
     order = []
     for v in seeds:
@@ -124,15 +129,15 @@ def reach_reference(labels, out, seeds):
 class TestReachEncoding:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs(), st.sampled_from(FEATURE_SETS), st.data())
-    def test_reach_is_flatten_cut_to_the_reached_part(self, case, features, data):
+    def test_encode_is_the_reference_cut_to_the_reached_part(self, case, features, data):
         first, second, _ = case
         graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
-        labels, out, nroles = _flatten(graphs)
+        labels, out, nroles = encode_reference(graphs)
         # the individual pairs, as bisimilarity_degree seeds them, then a few more
         seeds = [v for a in first.signature.individual_names
                  for v in (first.individual_element(a), first.n + second.individual_element(a))]
         seeds += data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=3))
-        got_labels, got_out, got_nroles, index = _reach(graphs, seeds)
+        got_labels, got_out, got_nroles, index = _encode(graphs, seeds)
         assert (got_labels, got_out, index) == reach_reference(labels, out, seeds)
         assert got_nroles == nroles
 
@@ -145,7 +150,7 @@ class TestDegreeOffTheLog:
     @given(interpretation_pairs())
     def test_every_pair_matches_the_cuts(self, case):
         first, second, features = case
-        log, _ = _refine(*_union_graph(first, second, features))
+        log, _ = _refine(*_encode(_union_graphs(first, second, features), range(first.n + second.n))[:3])
         cuts = cuts_from_log(log)
         for u in range(len(log.block)):
             for v in range(len(log.block)):
@@ -154,7 +159,7 @@ class TestDegreeOffTheLog:
                 assert log.degree(u, v) == expected
 
     def union_log(self, first, second):
-        log, _ = _refine(*_union_graph(first, second, frozenset()))
+        log, _ = _refine(*_encode(_union_graphs(first, second, frozenset()), range(first.n + second.n))[:3])
         a = (first.individual_element("a"), first.n + second.individual_element("a"))
         return log, a
 
