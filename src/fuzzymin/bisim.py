@@ -60,6 +60,7 @@ min(phi(x, y), phi(x', y)) >= phi(x, x'), so Z >= phi.
 from __future__ import annotations
 
 import gc
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -68,7 +69,6 @@ from .core import (
     Degree,
     FuzzyRelation,
     FuzzySet,
-    ONE,
     SCALE,
     ZERO,
 )
@@ -114,7 +114,7 @@ def to_fuzzy_graph(interp: FuzzyInterpretation, features: Iterable[str] | None) 
     if "O" in fs:
         vertex_labels.extend(sig.individual_names)
         for a in sig.individual_names:
-            labels[a] = FuzzySet(n, {interp.individual_element(a): ONE})
+            labels[a] = FuzzySet._trusted(n, {interp.individual_element(a): SCALE})
     edge_labels = basic_roles(sig, fs)
     edges = {role: interp.basic_role_relation(role) for role in edge_labels}
     return FuzzyLabeledGraph(n, tuple(vertex_labels), edge_labels, labels, edges)
@@ -172,12 +172,14 @@ def _encode(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[
         x = v - shift
         edges = []
         for r, fwd in enumerate(rows):
-            for y, d in fwd[x].items():
-                y += shift
-                if index[y] < 0:
-                    index[y] = len(reached)
-                    reached.append(y)
-                edges.append((d, r, index[y]))
+            row = fwd[x]
+            if row:
+                for y, d in row.items():
+                    y += shift
+                    if index[y] < 0:
+                        index[y] = len(reached)
+                        reached.append(y)
+                    edges.append((d, r, index[y]))
         out.append(edges)
     labels: Labels = [[] for _ in reached]
     for (shift, _), g in zip(sides, graphs):
@@ -190,37 +192,29 @@ def _encode(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[
 
 
 def _split(
+    groups: Dict[int, Dict[Hashable, List[int]]],
     block: List[int],
     size: List[int],
     shared: List[Optional[frozenset]],
-    keys: Dict[int, Hashable],
     signed: bool,
     origin: List[int],
     born: List[int],
     level: int,
 ) -> List[int]:
-    """Split classes by ``keys``, given for some of their members; returns
-    the vertices that changed class.
+    """Split classes by keys given for some of their members; returns the
+    vertices that changed class.
 
-    Members without a key hold one key together: the class's ``shared``
-    signature when ``signed``, otherwise a key that no keyed member holds.
-    That group keeps the class id; when every member has a key, the largest
-    group keeps it.  The other groups get fresh ids, logged with their
-    birth ``level`` and origin (see ``SplitLog``).  A new class's shared
-    signature is its key when ``signed`` and its parent's otherwise.
+    ``groups`` holds the keyed members, grouped as the caller computes the
+    keys: class -> key -> members, classes and keys each in the order of
+    their first member, members in the order they were keyed.  Class ids
+    follow from that order.  Members without a key hold one key together:
+    the class's ``shared`` signature when ``signed``, otherwise a key that
+    no keyed member holds.  That group keeps the class id; when every member
+    has a key, the largest group keeps it.  The other groups get fresh ids,
+    logged with their birth ``level`` and origin (see ``SplitLog``).  A new
+    class's shared signature is its key when ``signed`` and its parent's
+    otherwise.
     """
-    groups: Dict[int, Dict[Hashable, List[int]]] = {}
-    for v, key in keys.items():
-        c = block[v]
-        by_key = groups.get(c)
-        if by_key is None:
-            groups[c] = {key: [v]}
-        else:
-            vs = by_key.get(key)
-            if vs is None:
-                by_key[key] = [v]
-            else:
-                vs.append(v)
     moved: List[int] = []
     for c, by_key in groups.items():
         if len(by_key) == 1:
@@ -280,25 +274,27 @@ def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[SplitLog, int]:
     class still holds the class's shared signature.  Class ids are stable
     (see ``_split``) and a new class costs two log entries, so a level costs
     time in proportion to the vertices that change class and the edges
-    around them, not O(n + m) per round, and no cut is ever copied.
+    around them, not O(n + m) per round, and no cut is ever copied.  A round
+    drops each signature into its class's group as it computes it, so no
+    signature is stored or walked a second time.
     """
     n = len(labels)
-    labels_at: Dict[int, List[Tuple[int, int]]] = {}  # degree -> [(vertex, token)]
+    labels_at: Dict[int, List[Tuple[int, int]]] = defaultdict(list)  # degree -> [(vertex, token)]
     for v, lab in enumerate(labels):
         for t, d in lab:
-            labels_at.setdefault(d, []).append((v, t))
+            labels_at[d].append((v, t))
     pred: List[List[Tuple[int, int]]] = [[] for _ in range(n)]  # y -> [(degree, x)]
-    sources_at: Dict[int, List[int]] = {}  # degree -> sources of its edges
+    sources_at: Dict[int, List[int]] = defaultdict(list)  # degree -> sources of its edges
     for x, edges in enumerate(out):
         for d, _, y in edges:
             pred[y].append((d, x))
-            sources_at.setdefault(d, []).append(x)
+            sources_at[d].append(x)
     levels = sorted({SCALE, *labels_at, *sources_at})
 
     # every label is >= the least level, so the first cut starts from the
     # classes of vertices that carry the same label tokens
     first: Dict[Tuple[int, ...], int] = {}
-    block = [first.setdefault(tuple(t for t, _ in lab), len(first)) for lab in labels]
+    block = [first.setdefault(tuple([t for t, _ in lab]) if lab else (), len(first)) for lab in labels]
     size = [0] * len(first)
     for c in block:
         size[c] += 1
@@ -312,17 +308,29 @@ def _refine(labels: Labels, out: Edges, nroles: int) -> Tuple[SplitLog, int]:
             dropped: Dict[int, Tuple[int, ...]] = {}
             for v, t in labels_at.get(levels[k - 1], ()):
                 dropped[v] = dropped.get(v, ()) + (t,)
-            moved = _split(block, size, shared, dropped, False, origin, born, k)
+            groups: Dict[int, Dict[Hashable, List[int]]] = {}  # as ``_split`` takes them
+            for v, key in dropped.items():
+                groups.setdefault(block[v], {}).setdefault(key, []).append(v)
+            moved = _split(groups, block, size, shared, False, origin, born, k)
             dirty = set(sources_at.get(levels[k - 1], ()))
             dirty.update(x for y in moved for e, x in pred[y] if e >= d)
         while True:
             rounds += 1
-            sigs = {
-                v: frozenset([r + nroles * block[y] for e, r, y in out[v] if e >= d])
-                for v in dirty
-                if size[block[v]] > 1  # a class of one cannot split
-            }
-            moved = _split(block, size, shared, sigs, True, origin, born, k)
+            groups = {}
+            for v in dirty:
+                c = block[v]
+                if size[c] > 1:  # a class of one cannot split
+                    key = frozenset([r + nroles * block[y] for e, r, y in out[v] if e >= d])
+                    by_key = groups.get(c)
+                    if by_key is None:
+                        groups[c] = {key: [v]}
+                    else:
+                        vs = by_key.get(key)
+                        if vs is None:
+                            by_key[key] = [v]
+                        else:
+                            vs.append(v)
+            moved = _split(groups, block, size, shared, True, origin, born, k)
             if not moved:
                 break
             dirty = {x for y in moved for e, x in pred[y] if e >= d}

@@ -57,6 +57,11 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
 
     Each fact is checked once, on its own line, and stored under element
     indices, so the interpretation is assembled without checking it again.
+    A line is split once; only a line holding ``#`` has its comment cut
+    first.  Role lines, the bulk of a file, are dispatched before the
+    section lookup: ``role`` is the last section, so a role line can never
+    be out of order, and a later line of any other section is caught by the
+    lookup as before.
     """
     concepts: Optional[List[str]] = None
     roles: Optional[List[str]] = None
@@ -83,18 +88,41 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
         parsed[token] = scaled
         return scaled
 
+    role_stage = _STAGE["role"]
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
-        keyword, args = tokens[0], tokens[1:]
+        keyword = tokens[0]
+        if keyword == "role":
+            # the last section, so a role line is never out of order
+            stage = role_stage
+            if len(tokens) != 5:
+                _fail(line_no, "expected: role <name> <source> <target> <degree>")
+            _, rname, x, y, dtext = tokens
+            bucket = role_facts.get(rname)
+            if bucket is None:
+                if roles is None or rname not in roles:
+                    _fail(line_no, f"unknown role name {rname!r}")
+                bucket = role_facts[rname] = {}
+            i, j = index.get(x), index.get(y)
+            if i is None or j is None:
+                _fail(line_no, f"unknown domain element in role fact {rname} {x} {y}")
+            row = bucket.get(i)
+            if row is None:
+                row = bucket[i] = {}
+            elif j in row:
+                _fail(line_no, f"duplicate role fact {rname} {x} {y}")
+            deg = parsed.get(dtext)
+            row[j] = deg if deg is not None else parse_degree(dtext, line_no)
+            continue
         target = _STAGE.get(keyword)
         if target is None:
             _fail(line_no, f"unknown section keyword {keyword!r}")
         if target < stage:
             _fail(line_no, f"section {keyword!r} appears out of order")
         stage = target
+        args = tokens[1:]
         if keyword == "concepts":
             if concepts is not None:
                 _fail(line_no, "duplicate 'concepts' line")
@@ -126,7 +154,7 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
             if name in ind_map:
                 _fail(line_no, f"duplicate assignment for individual {name!r}")
             ind_map[name] = index[elem]
-        elif keyword == "concept":
+        else:  # concept
             if len(args) != 3:
                 _fail(line_no, "expected: concept <name> <element> <degree>")
             cname, elem, dtext = args
@@ -142,23 +170,6 @@ def parse_interpretation(text: str) -> Tuple[Signature, FuzzyInterpretation]:
                 _fail(line_no, f"duplicate concept fact {cname} {elem}")
             deg = parsed.get(dtext)
             bucket[i] = deg if deg is not None else parse_degree(dtext, line_no)
-        elif keyword == "role":
-            if len(args) != 4:
-                _fail(line_no, "expected: role <name> <source> <target> <degree>")
-            rname, x, y, dtext = args
-            bucket = role_facts.get(rname)
-            if bucket is None:
-                if roles is None or rname not in roles:
-                    _fail(line_no, f"unknown role name {rname!r}")
-                bucket = role_facts[rname] = {}
-            i, j = index.get(x), index.get(y)
-            if i is None or j is None:
-                _fail(line_no, f"unknown domain element in role fact {rname} {x} {y}")
-            row = bucket.setdefault(i, {})
-            if j in row:
-                _fail(line_no, f"duplicate role fact {rname} {x} {y}")
-            deg = parsed.get(dtext)
-            row[j] = deg if deg is not None else parse_degree(dtext, line_no)
 
     if individuals is None:
         raise CliInputError("missing 'individuals' line")

@@ -285,8 +285,14 @@ def approximate_minimize(
             if debug_checks:
                 check_block(block)
             # the role entry between x and y's keeper, at the first level that reaches it
-            src, dst = (keeper[block], x) if inverse[r] else (x, keeper[block])
-            row = written[r].setdefault(src, {})
+            if inverse[r]:
+                src, dst = keeper[block], x
+            else:
+                src, dst = x, keeper[block]
+            rows = written[r]
+            row = rows.get(src)
+            if row is None:
+                row = rows[src] = {}
             if dst not in row:
                 row[dst] = level
                 if narrate is not None:
@@ -294,7 +300,8 @@ def approximate_minimize(
 
     # assemble the reduced interpretation, keeping original names and order;
     # every entry is a positive scaled degree under a distinct pair of kept
-    # elements
+    # elements.  A row is remapped in target order (renumbering keeps the
+    # order), so ``FuzzyRelation`` finds it sorted and builds it only here
     kept_sorted = sorted(added_order)
     old_to_new = {x: i for i, x in enumerate(kept_sorted)}
     domain = [name(x) for x in kept_sorted]
@@ -312,7 +319,8 @@ def approximate_minimize(
         found = new_roles[rname]
         if found:
             roles[rname] = FuzzyRelation._trusted(n1, n1, [
-                (old_to_new[x], {old_to_new[y]: d for y, d in row.items()}) for x, row in found.items()])
+                (old_to_new[x], {old_to_new[y]: row[y] for y in (sorted(row) if len(row) > 1 else row)})
+                for x, row in found.items()])
 
     reduced = FuzzyInterpretation(
         sig,

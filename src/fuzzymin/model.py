@@ -4,7 +4,7 @@ with fuzzy concept labels and named individuals."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import DegreeLike, FuzzyRelation, FuzzySet
 
@@ -18,11 +18,21 @@ def normalize_features(features: Iterable[str] | None) -> frozenset:
     return fs
 
 
-def _is_token(name: str) -> bool:
-    """Whether a name reads back as itself from the text format: non-empty,
-    free of whitespace (str.split splits on exactly the characters
-    str.isspace accepts) and free of ``#``, which starts a comment."""
-    return name.split() == [name] and "#" not in name
+def _are_tokens(names: Sequence[str]) -> bool:
+    """Whether every name reads back as itself from the text format:
+    non-empty, free of whitespace (str.split splits on exactly the
+    characters str.isspace accepts) and free of ``#``, which starts a
+    comment.  One join and one split check all the names at once."""
+    joined = " ".join(names)
+    return "#" not in joined and joined.split() == list(names)
+
+
+def _domain_name_problems(domain: Sequence[str]) -> List[str]:
+    """One message per domain element name that does not read back."""
+    if _are_tokens(domain):
+        return []
+    return [f"domain element name is not a whitespace-free token without '#': {name!r}"
+            for name in domain if not _are_tokens((name,))]
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,7 @@ class Signature:
             ("individual", self.individual_names),
         ):
             for name in names:
-                if not _is_token(name):
+                if not _are_tokens((name,)):
                     raise ValueError(f"{kind} name must be a non-empty token without whitespace or '#': {name!r}")
                 if name in seen:
                     raise ValueError(f"name {name!r} used as both {seen[name]} and {kind}")
@@ -167,10 +177,14 @@ def make_interpretation(
 ) -> FuzzyInterpretation:
     """Build an interpretation from name-based fact maps.
 
-    Raises ValueError on unknown names or explicit zero degrees; sparse
-    storage means a zero-degree fact is simply not written down.
+    Raises ValueError on unknown names, domain names the text format cannot
+    read back, or explicit zero degrees; sparse storage means a zero-degree
+    fact is simply not written down.
     """
     domain = tuple(domain)
+    problems = _domain_name_problems(domain)
+    if problems:
+        raise ValueError("; ".join(problems))
     index = {name: i for i, name in enumerate(domain)}
     if len(index) != len(domain):
         raise ValueError("duplicate domain element names")
@@ -212,9 +226,7 @@ def validate(interp: FuzzyInterpretation) -> list:
         out.append("domain is empty")
     if len(set(interp.domain)) != len(interp.domain):
         out.append("duplicate domain element names")
-    for name in interp.domain:
-        if not _is_token(name):
-            out.append(f"domain element name is not a whitespace-free token without '#': {name!r}")
+    out.extend(_domain_name_problems(interp.domain))
     for a in sig.individual_names:
         if a not in interp.individuals:
             out.append(f"individual {a} has no assigned element")

@@ -1,9 +1,11 @@
+import hashlib
 import io
 import random
 import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzymin.cli import (
     CliInputError,
@@ -147,11 +149,23 @@ class TestFileFormat:
         ("concepts A\nroles r\nindividuals\ndomain u u\n", "at least one individual name is required"),
         ("concepts A\nroles r\nindividuals a\ndomain u u\nind a u\n"
          "concept A u 0.5\nconcept A u 0.7\n", "line 7: duplicate concept fact A u"),
+        (DUPLICATE_NAMES + "role r v u 0#x\n",
+         "line 9: zero degree: omit the fact instead of writing degree 0"),
+        (DUPLICATE_NAMES + "role r v u 0.5#x\nrole r u w 0.5\n",
+         "line 10: unknown domain element in role fact r u w"),
+        (DUPLICATE_NAMES + "ro#le r v u 0.5\n", "line 9: unknown section keyword 'ro'"),
+        # str.splitlines ends a line at a form feed, so this adds two lines
+        (DUPLICATE_NAMES.replace("ind b v\n", "ind b v\n \t\f  \n") + "role r u w 0.5\n",
+         "line 11: unknown domain element in role fact r u w"),
+        (DUPLICATE_NAMES + "concept A u 0.5\n", "line 9: section 'concept' appears out of order"),
+        ("concepts A\nroles r\nindividuals a\nrole r u v 0.5\ndomain u v\n",
+         "line 4: unknown domain element in role fact r u v"),
     ], ids=[
         "duplicate-only", "across-domain-lines", "before-missing-assignment", "bad-element-line",
         "zero-degree-line", "duplicate-fact-line", "out-of-order-line", "no-individual-names",
         "signature-declared-twice", "signature-cross-kind", "signature-no-individuals",
-        "duplicate-fact-on-duplicate-name",
+        "duplicate-fact-on-duplicate-name", "comment-glued-to-degree", "comment-glued-then-bad-line",
+        "comment-inside-keyword", "form-feed-blank-line", "concept-after-role", "role-before-domain",
     ])
     def test_duplicate_domain_names_come_after_line_and_signature_errors(self, text, message):
         with pytest.raises(CliInputError) as info:
@@ -409,6 +423,23 @@ class TestProperties:
         assert ("\nfeatures " in text) == bool(features)
         assert parse_interpretation(text)[1] == interp
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.text(st.sampled_from("ab#_ \t\f\x1c\xa0\u2028"), max_size=3),
+                    min_size=1, max_size=4, unique=True))
+    def test_built_names_round_trip_or_fail_at_build(self, names):
+        # a name reads back iff str.split keeps it whole and it holds no '#'
+        readable = all(name.split() == [name] and "#" not in name for name in names)
+        try:
+            interp = make_interpretation(
+                Signature(("A",), ("r",), ("a",)), names, {"a": names[0]},
+                {"A": {names[-1]: "0.5"}}, {"r": {(names[0], names[-1]): "0.7"}},
+            )
+        except ValueError:
+            assert not readable
+            return
+        assert readable
+        assert parse_interpretation(write_interpretation(interp))[1] == interp
+
     # tokens a mutation may write in place of another one
     NOISE = ("0", "1", "0.5", "1.5", "-0.2", "0.1234567891", ".", "x", "features", "I", "O",
              "domain", "ind", "concept", "role", "#")
@@ -453,6 +484,28 @@ class TestProperties:
             assert status in statuses, (command, mutant, err)
             statuses[status] += 1
         assert statuses[0] and statuses[1]
+
+    # one SHA-256 over the parser's outcome on each of those mutants, pinned
+    # to the value the parser gave before it dispatched role lines first
+    MUTANT_DIGEST = "6cc81e366e8ae459d54062541e249d21f788d407faaa4e9114ee9b8de1f9f3d5"
+
+    def test_mutated_inputs_parse_as_recorded(self):
+        # the mutants of test_mutated_inputs_exit_0_or_1, in the same order;
+        # an outcome is the text written back, or the error message
+        rng = random.Random(4242)
+        texts = [write_interpretation(f()) for f in (twin_stars, layered_cycles, two_chains, research_network)]
+        digest = hashlib.sha256()
+        failed = 0
+        for _ in range(400):
+            mutant = self.mutate(rng, rng.choice(texts))
+            try:
+                outcome = write_interpretation(parse_interpretation(mutant)[1])
+            except CliInputError as exc:
+                outcome = f"error: {exc}"
+                failed += 1
+            digest.update(f"{outcome}\n--\n".encode())
+        assert 0 < failed < 400
+        assert digest.hexdigest() == self.MUTANT_DIGEST
 
 
 class TestDeepInputs:

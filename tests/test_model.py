@@ -68,9 +68,10 @@ class TestValidate:
 
 
 class TestTokenCheck:
-    """The token test in ``Signature`` and ``validate`` agrees with the
-    per-character ``isspace`` scan it replaced, and also rejects ``#``, which
-    starts a comment in the text format."""
+    """The token test in ``Signature``, ``validate`` and
+    ``make_interpretation`` agrees with the per-character ``isspace`` scan it
+    replaced, and also rejects ``#``, which starts a comment in the text
+    format."""
 
     NAMES = (
         "", " ", "u", "u'", "\u00e9", "u\u200bv",  # zero-width space is not whitespace
@@ -93,8 +94,17 @@ class TestTokenCheck:
         if bad:
             with pytest.raises(ValueError, match="non-empty token without whitespace"):
                 Signature((name,), ("r",), ("a",))
+            with pytest.raises(ValueError, match="whitespace-free token"):
+                make_interpretation(Signature(("A",), ("r",), ("a",)), ["x", name], {"a": "x"})
         else:
             Signature((name,), ("r",), ("a",))
+            make_interpretation(Signature(("A",), ("r",), ("a",)), ["x", name], {"a": "x"})
+
+    def test_whole_domain_check_reports_each_bad_name_in_order(self):
+        interp = FuzzyInterpretation(Signature(("A",), ("r",), ("a",)), self.NAMES, {"a": 2}, {}, {})
+        bad = [name for name in self.NAMES if name.split() != [name] or "#" in name]
+        assert [p for p in validate(interp) if "whitespace-free token" in p] == [
+            f"domain element name is not a whitespace-free token without '#': {name!r}" for name in bad]
 
 
 class TestSizeStats:
