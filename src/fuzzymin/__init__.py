@@ -31,12 +31,10 @@ from .partition import Block, CompactFuzzyPartition
 from .bisim import (
     BisimResult,
     BisimViolation,
-    FuzzyLabeledGraph,
     auto_partition,
     bisimilarity_degree,
     build_compact_partition,
     check_bisimulation,
-    greatest_auto_bisimulation,
     greatest_bisimulation,
     to_fuzzy_graph,
 )

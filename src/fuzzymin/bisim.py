@@ -23,12 +23,14 @@ generated subinterpretations, so it refines just the part of the union the
 individuals reach over the edges (inverse roles are edges too) and reads
 each degree off the split log, without building a block tree.
 
-One encoder, ``_encode``, turns the graphs into the refinement's input for
-all three: it lays them side by side and keeps the part that given seeds
-reach, every vertex for ``auto_partition`` and ``greatest_bisimulation``
-and the individuals' vertices for ``bisimilarity_degree``.  The two
-entries over two interpretations share one prologue (``_union_graphs``):
-the signature check, the feature set and the two graphs.
+One encoder, ``_encode``, reads the interpretations themselves, through
+``to_fuzzy_graph``, which hands over their own label sets and role rows,
+and turns them into the refinement's input for all three: it lays them
+side by side and keeps the part that given seeds reach, every vertex for
+``auto_partition`` and ``greatest_bisimulation`` and the individuals'
+vertices for ``bisimilarity_degree``.  The two entries over two
+interpretations check the signatures before anything else, so a mismatch
+is reported before any individual is looked up.
 
 The four engine entries (``auto_partition``, ``greatest_bisimulation``,
 ``bisimilarity_degree`` and ``build_compact_partition``) run with the cyclic
@@ -65,13 +67,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .core import (
-    Degree,
-    FuzzyRelation,
-    FuzzySet,
-    SCALE,
-    ZERO,
-)
+from .core import Degree, FuzzyRelation, SCALE
 from .model import (
     BasicRole,
     FuzzyInterpretation,
@@ -82,42 +78,25 @@ from .model import (
 from .partition import CompactFuzzyPartition, SplitLog, partition_from_log
 
 
-@dataclass(frozen=True)
-class FuzzyLabeledGraph:
-    """Vertices with fuzzy label sets and fuzzy labeled edges."""
+def to_fuzzy_graph(
+    interp: FuzzyInterpretation, features: Iterable[str] | None
+) -> Tuple[List[Dict[int, int]], List[List[Dict[int, int]]]]:
+    """An interpretation as a fuzzy labeled graph: its label sets, one per
+    vertex label token, and its role rows, one list per edge label.
 
-    n: int
-    vertex_labels: Tuple[str, ...]
-    edge_labels: Tuple[BasicRole, ...]
-    labels: Dict[str, FuzzySet]        # label token -> fuzzy set over vertices
-    edges: Dict[BasicRole, FuzzyRelation]
-
-    def vertex_label(self, v: int, token: str) -> Degree:
-        got = self.labels.get(token)
-        return got.value(v) if got is not None else ZERO
-
-
-def to_fuzzy_graph(interp: FuzzyInterpretation, features: Iterable[str] | None) -> FuzzyLabeledGraph:
-    """Encode an interpretation as a fuzzy labeled graph.
-
-    Vertex labels are the concept names, plus one indicator label per
-    individual name when nominals are enabled.  Edge labels are the basic
-    roles (role names, plus inverses when inverse roles are enabled).
+    The tokens are the concept names, plus one indicator label per
+    individual name when nominals are enabled; the edge labels are the
+    basic roles (role names, plus inverses when inverse roles are enabled).
+    The concept sets and role rows are the interpretation's own scaled-int
+    dicts (``FuzzySet._entries`` and ``FuzzyRelation._fwd``), not copies;
+    only a nominal's indicator, ``{element: SCALE}``, is built here.
     """
     fs = normalize_features(features)
     sig = interp.signature
-    n = interp.n
-    vertex_labels = list(sig.concept_names)
-    labels: Dict[str, FuzzySet] = {}
-    for cname in sig.concept_names:
-        labels[cname] = interp.concept_set(cname)
+    label_sets = [interp.concept_set(c)._entries for c in sig.concept_names]
     if "O" in fs:
-        vertex_labels.extend(sig.individual_names)
-        for a in sig.individual_names:
-            labels[a] = FuzzySet._trusted(n, {interp.individual_element(a): SCALE})
-    edge_labels = basic_roles(sig, fs)
-    edges = {role: interp.basic_role_relation(role) for role in edge_labels}
-    return FuzzyLabeledGraph(n, tuple(vertex_labels), edge_labels, labels, edges)
+        label_sets += [{interp.individual_element(a): SCALE} for a in sig.individual_names]
+    return label_sets, [interp.basic_role_relation(role)._fwd for role in basic_roles(sig, fs)]
 
 
 @dataclass
@@ -136,30 +115,31 @@ Labels = List[List[Tuple[int, int]]]      # vertex -> [(token, scaled degree)]
 Edges = List[List[Tuple[int, int, int]]]  # vertex -> [(scaled degree, role, target)]
 
 
-def _encode(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[Labels, Edges, int, List[int]]:
-    """Per-vertex label and edge lists of the part of the graphs that the
-    seeds reach over the edges, plus the number of roles and each vertex's
-    number there (-1 if not reached).  The graphs stand side by side, each
-    one's vertices shifted by the sizes of those before it; a nominal label
+def _encode(
+    interps: Sequence[FuzzyInterpretation], features: Iterable[str] | None, seeds: Iterable[int]
+) -> Tuple[Labels, Edges, int, List[int]]:
+    """Per-vertex label and edge lists of the part of the interpretations'
+    graphs (``to_fuzzy_graph``) that the seeds reach over the edges, plus
+    the number of roles and each vertex's number there (-1 if not reached).
+    The interpretations share one signature and stand side by side, each
+    one's elements shifted by the sizes of those before it; a nominal label
     marks one vertex in each copy, which is why a union is built here and
     not as an interpretation.  This is the engine's one encoder: with every
     vertex a seed (``range(N)``) it encodes the whole graph, and the
     numbering is the identity.
 
     Vertices are numbered breadth first: the seeds in order, then the
-    targets of each numbered vertex's edges as listed.  Tokens and roles
-    are numbered in the first graph's order.  A vertex's labels come in
-    token order and its edges in role order, each role's by target (the
-    order of a relation's rows), so the sets and relations are read
-    unsorted: edges off the graphs' rows and labels off one pass over each
+    targets of each numbered vertex's edges as listed.  A vertex's labels
+    come in token order and its edges in role order, each role's by target
+    (the order of a relation's rows), so the sets and relations are read
+    unsorted: edges off the role rows and labels off one pass over each
     label set.  A vertex that is not reached costs nothing beyond the O(n)
     numbering.
     """
-    tokens, roles = graphs[0].vertex_labels, graphs[0].edge_labels
     sides, owner = [], []
-    for g in graphs:
-        sides.append((len(owner), [g.edges[role]._fwd for role in roles]))
-        owner.extend([len(sides) - 1] * g.n)
+    for interp in interps:
+        sides.append((len(owner), *to_fuzzy_graph(interp, features)))
+        owner.extend([len(sides) - 1] * interp.n)
     index = [-1] * len(owner)
     reached: List[int] = []
     for v in seeds:
@@ -168,7 +148,7 @@ def _encode(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[
             reached.append(v)
     out: Edges = []
     for v in reached:  # the list grows while it is walked
-        shift, rows = sides[owner[v]]
+        shift, _, rows = sides[owner[v]]
         x = v - shift
         edges = []
         for r, fwd in enumerate(rows):
@@ -182,13 +162,13 @@ def _encode(graphs: Sequence[FuzzyLabeledGraph], seeds: Iterable[int]) -> Tuple[
                     edges.append((d, r, index[y]))
         out.append(edges)
     labels: Labels = [[] for _ in reached]
-    for (shift, _), g in zip(sides, graphs):
-        for t, token in enumerate(tokens):
-            for x, d in g.labels[token]._entries.items():
+    for shift, label_sets, _ in sides:
+        for t, entries in enumerate(label_sets):
+            for x, d in entries.items():
                 i = index[shift + x]
                 if i >= 0:
                     labels[i].append((t, d))
-    return labels, out, len(roles), index
+    return labels, out, len(sides[0][2]), index
 
 
 def _split(
@@ -358,7 +338,7 @@ def auto_partition(
 ) -> Tuple[CompactFuzzyPartition, int]:
     """Compact fuzzy partition of the greatest fuzzy auto-bisimulation, and
     the number of signature rounds it took."""
-    log, rounds = _refine(*_encode([to_fuzzy_graph(interp, features)], range(interp.n))[:3])
+    log, rounds = _refine(*_encode([interp], features, range(interp.n))[:3])
     return partition_from_log(log, interp.domain), rounds
 
 
@@ -385,19 +365,6 @@ def build_compact_partition(phi: FuzzyRelation, names: Sequence[str] | None = No
     return tree
 
 
-def _union_graphs(
-    interp1: FuzzyInterpretation,
-    interp2: FuzzyInterpretation,
-    features: Iterable[str] | None,
-) -> List[FuzzyLabeledGraph]:
-    """The two interpretations encoded over their one signature, for
-    ``_encode`` to put side by side: interp2's element y is vertex
-    interp1.n + y of their disjoint union."""
-    require_same_signature(interp1, interp2)
-    fs = normalize_features(features)
-    return [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
-
-
 @_collector_paused()
 def greatest_bisimulation(
     interp1: FuzzyInterpretation,
@@ -410,17 +377,11 @@ def greatest_bisimulation(
     if interp1 is interp2:
         partition, rounds = auto_partition(interp1, features)
         return BisimResult(partition.to_equivalence(), rounds)
-    graphs = _union_graphs(interp1, interp2, features)
+    require_same_signature(interp1, interp2)
     n1 = interp1.n
-    log, rounds = _refine(*_encode(graphs, range(n1 + interp2.n))[:3])
+    log, rounds = _refine(*_encode([interp1, interp2], features, range(n1 + interp2.n))[:3])
     partition = partition_from_log(log, interp1.domain + interp2.domain)
     return BisimResult(partition.relation(range(n1), range(n1, partition.n)), rounds)
-
-
-def greatest_auto_bisimulation(
-    interp: FuzzyInterpretation, features: Iterable[str] | None = None
-) -> BisimResult:
-    return greatest_bisimulation(interp, interp, features)
 
 
 @_collector_paused()
@@ -443,13 +404,13 @@ def bisimilarity_degree(
     O(m log l)), it costs nothing per element that no individual reaches,
     beyond an O(n) numbering.
     """
-    graphs = _union_graphs(interp1, interp2, features)
+    require_same_signature(interp1, interp2)
     n1 = interp1.n
     pairs = [
         (interp1.individual_element(a), n1 + interp2.individual_element(a))
         for a in interp1.signature.individual_names
     ]
-    labels, out, nroles, index = _encode(graphs, [v for pair in pairs for v in pair])
+    labels, out, nroles, index = _encode([interp1, interp2], features, [v for pair in pairs for v in pair])
     log, _ = _refine(labels, out, nroles)
     return min(log.degree(index[x], index[xp]) for x, xp in pairs)
 

@@ -142,7 +142,7 @@ class ConceptParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<number>[0-9]+(?:\.[0-9]+)?)"
     r"|(?P<arrow>->)"
     r"|(?P<punct>[(){}.;|*?]))"
 )

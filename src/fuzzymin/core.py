@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Uni
 
 SCALE = 10 ** 9
 
-_DECIMAL_RE = re.compile(r"^(\d+)(?:\.(\d+))?$")
+_DECIMAL_RE = re.compile(r"^([0-9]+)(?:\.([0-9]+))?$")
 
 DegreeLike = Union["Degree", int, float, str]
 
@@ -95,10 +95,6 @@ class Degree:
     @property
     def is_zero(self) -> bool:
         return self.scaled == 0
-
-    @property
-    def is_one(self) -> bool:
-        return self.scaled == SCALE
 
 
 def _parse_scaled(text: str) -> int:

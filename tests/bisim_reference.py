@@ -4,14 +4,16 @@ differential tests against ``fuzzymin.bisim``.
 - ``greatest_bisimulation_reference`` is a small order-parameterized
   refinement engine over the pairs of the two domains; it shares no code
   with the level-wise signature engine.
-- ``encode_reference`` lists each vertex's labels and edges from the graphs'
-  sorted ``items()``, the lists the engine's encoder must give for the whole
-  graph.
+- ``encode_reference`` lists each vertex's labels and edges from the
+  interpretations' public, sorted ``items()``, the lists the engine's
+  encoder must give for the whole graph.  It reads the interpretations
+  through the public API alone, never through the engine's encoder.
 - ``cuts_from_log`` expands the engine's split log into the class of every
   vertex at every level.
-- ``bisimilarity_degree_reference`` refines the whole disjoint union and
-  builds its block tree from the cuts with the recursive reference builder,
-  then reads the degree at each individual pair.
+- ``bisimilarity_degree_reference`` refines the whole disjoint union, as
+  ``encode_reference`` lists it, and builds its block tree from the cuts
+  with the recursive reference builder, then reads the degree at each
+  individual pair.
 - ``check_bisimulation_reference`` tests the four defining conditions with a
   ``Degree`` lookup per pair of successors and scans every individual name
   for condition (4).
@@ -21,30 +23,42 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from fuzzymin.bisim import BisimViolation, FuzzyLabeledGraph, _encode, _refine, to_fuzzy_graph
-from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, biresiduum, tnorm
+from fuzzymin.bisim import BisimViolation, _refine
+from fuzzymin.core import Degree, FuzzyRelation, FuzzySet, ONE, ZERO, biresiduum, tnorm
 from fuzzymin.model import FuzzyInterpretation, basic_roles, normalize_features
 from fuzzymin.partition import SplitLog
 from partition_reference import partition_from_cuts_reference
 
 
-def encode_reference(graphs: Sequence[FuzzyLabeledGraph]) -> Tuple[list, list, int]:
+def label_sets(interp: FuzzyInterpretation, features: frozenset) -> List[FuzzySet]:
+    """One fuzzy set per vertex label token: the concept names' sets, then,
+    with nominals, one indicator set per individual name."""
+    sig = interp.signature
+    sets = [interp.concept_set(c) for c in sig.concept_names]
+    if "O" in features:
+        sets += [FuzzySet(interp.n, {interp.individual_element(a): ONE}) for a in sig.individual_names]
+    return sets
+
+
+def encode_reference(interps: Sequence[FuzzyInterpretation], features: Iterable[str] | None) -> Tuple[list, list, int]:
     """Per-vertex label lists [(token, scaled degree)] and edge lists
-    [(scaled degree, role, target)] of the graphs side by side, each one's
-    vertices shifted by the sizes of those before it, plus the number of
-    roles: read off the public, sorted ``items()``."""
+    [(scaled degree, role, target)] of the interpretations side by side,
+    each one's elements shifted by the sizes of those before it, plus the
+    number of roles: read off the public, sorted ``items()``."""
+    fs = normalize_features(features)
+    roles = basic_roles(interps[0].signature, fs)
     labels, out = [], []
-    for g in graphs:
+    for interp in interps:
         shift = len(labels)
-        labels += [[] for _ in range(g.n)]
-        out += [[] for _ in range(g.n)]
-        for t, token in enumerate(g.vertex_labels):
-            for v, d in g.labels[token].items():
+        labels += [[] for _ in range(interp.n)]
+        out += [[] for _ in range(interp.n)]
+        for t, fset in enumerate(label_sets(interp, fs)):
+            for v, d in fset.items():
                 labels[shift + v].append((t, d.scaled))
-        for r, role in enumerate(g.edge_labels):
-            for (x, y), d in g.edges[role].items():
+        for r, role in enumerate(roles):
+            for (x, y), d in interp.basic_role_relation(role).items():
                 out[shift + x].append((d.scaled, r, shift + y))
-    return labels, out, len(graphs[0].edge_labels)
+    return labels, out, len(roles)
 
 
 def cuts_from_log(log: SplitLog) -> List[List[int]]:
@@ -68,9 +82,7 @@ def bisimilarity_degree_reference(
     the block tree of the whole union's greatest auto-bisimulation."""
     if not interp1.signature.same_names(interp2.signature):
         raise ValueError("interpretations use different signatures")
-    fs = normalize_features(features)
-    graphs = [to_fuzzy_graph(interp1, fs), to_fuzzy_graph(interp2, fs)]
-    log, _ = _refine(*_encode(graphs, range(interp1.n + interp2.n))[:3])
+    log, _ = _refine(*encode_reference([interp1, interp2], features))
     partition = partition_from_cuts_reference(log.levels, cuts_from_log(log), interp1.domain + interp2.domain)
     n1 = interp1.n
     return min(
@@ -183,30 +195,30 @@ def greatest_bisimulation_reference(
     if not interp1.signature.same_names(interp2.signature):
         raise ValueError("interpretations use different signatures")
     fs = normalize_features(features)
-    g1 = to_fuzzy_graph(interp1, fs)
-    g2 = to_fuzzy_graph(interp2, fs)
-    n1, n2 = g1.n, g2.n
+    n1, n2 = interp1.n, interp2.n
     pairs = list(pair_order) if pair_order is not None else [
         (x, xp) for x in range(n1) for xp in range(n2)
     ]
 
     z: List[List[Degree]] = [[ONE] * n2 for _ in range(n1)]
-    for token in g1.vertex_labels:
+    for set1, set2 in zip(label_sets(interp1, fs), label_sets(interp2, fs)):
         for x in range(n1):
             for xp in range(n2):
-                b = biresiduum(g1.vertex_label(x, token), g2.vertex_label(xp, token))
+                b = biresiduum(set1.value(x), set2.value(xp))
                 if b < z[x][xp]:
                     z[x][xp] = b
 
-    roles = [r for r in g1.edge_labels]
+    roles = [
+        (interp1.basic_role_relation(role), interp2.basic_role_relation(role))
+        for role in basic_roles(interp1.signature, fs)
+    ]
 
     def refine_pair(x: int, xp: int) -> bool:
         cur = z[x][xp]
         if cur.is_zero:
             return False
         new = cur
-        for role in roles:
-            rel1, rel2 = g1.edges[role], g2.edges[role]
+        for rel1, rel2 in roles:
             for y, dxy in rel1.successors(x):
                 best = ZERO
                 for yp, d2 in rel2.successors(xp):

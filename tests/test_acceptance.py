@@ -14,7 +14,7 @@ from fuzzymin import (
     build_compact_partition,
     check_bisimulation,
     construct_witness,
-    greatest_auto_bisimulation,
+    greatest_bisimulation,
     rst_closure,
 )
 from fuzzymin.bisim import auto_partition
@@ -300,7 +300,7 @@ def test_criterion_6_sampling_roundtrip_order_independence():
                 random_acceptance_cases(50, seed_base=6000)):
             if interp.n > 10:
                 continue
-            Z = greatest_auto_bisimulation(interp, features).Z
+            Z = greatest_bisimulation(interp, interp, features).Z
             pool = interpretation_degree_pool(interp)
             for _ in range(200):
                 concept = random_concept(interp.signature, features, "full", 4, rng, pool)
@@ -323,7 +323,7 @@ def test_criterion_6_sampling_roundtrip_order_independence():
         # fixpoint order independence on 100 instances, n <= 12
         for i, (interp, features, _gamma) in enumerate(
                 random_acceptance_cases(100, seed_base=6300)):
-            fast = greatest_auto_bisimulation(interp, features).Z
+            fast = greatest_bisimulation(interp, interp, features).Z
             order_rng = random.Random(6400 + i)
             pairs = [(x, y) for x in range(interp.n) for y in range(interp.n)]
             order_rng.shuffle(pairs)

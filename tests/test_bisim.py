@@ -9,10 +9,10 @@ from fuzzymin import (
     BasicRole,
     Signature,
     auto_partition,
+    basic_roles,
     bisimilarity_degree,
     build_compact_partition,
     check_bisimulation,
-    greatest_auto_bisimulation,
     greatest_bisimulation,
     is_fuzzy_equivalence,
     make_interpretation,
@@ -59,27 +59,43 @@ def small_random_instance(seed, max_components=3, max_size=12, features=frozense
 class TestGraphEncoding:
     def test_nominal_labels_single_out(self):
         interp = twin_stars()
-        graph = to_fuzzy_graph(interp, frozenset("O"))
-        assert set(graph.vertex_labels) == {"A", "a", "b"}
-        marks = [v for v in range(interp.n) if not graph.vertex_label(v, "a").is_zero]
-        assert marks == [interp.individual_element("a")]
-        assert graph.vertex_label(marks[0], "a") == ONE
+        label_sets, _ = to_fuzzy_graph(interp, frozenset("O"))
+        # the concept A, then one indicator per individual name, a and b
+        assert len(label_sets) == 3
+        assert label_sets[1] == {interp.individual_element("a"): SCALE}
+        assert label_sets[2] == {interp.individual_element("b"): SCALE}
 
     def test_plain_encoding_shape(self):
         interp = twin_stars()
-        graph = to_fuzzy_graph(interp, frozenset())
-        assert graph.vertex_labels == ("A",)
-        assert graph.edge_labels == (BasicRole("r"),)
+        label_sets, role_rows = to_fuzzy_graph(interp, frozenset())
+        assert label_sets == [interp.concept_set("A")._entries]
+        assert role_rows == [interp.basic_role_relation(BasicRole("r"))._fwd]
 
     def test_inverse_edges_mirror(self):
         interp = layered_cycles()
-        graph = to_fuzzy_graph(interp, frozenset("I"))
-        inv = graph.edges[BasicRole("r", True)]
-        fwd = graph.edges[BasicRole("r")]
+        _, role_rows = to_fuzzy_graph(interp, frozenset("I"))
+        roles = basic_roles(interp.signature, frozenset("I"))
+        fwd, inv = (role_rows[roles.index(BasicRole("r", inverse))] for inverse in (False, True))
         u1, v2 = interp.element_index("u1"), interp.element_index("v2")
-        assert fwd.value(u1, v2) == D("0.4")
-        assert inv.value(v2, u1) == D("0.4")
-        assert inv == fwd.inverse()
+        assert fwd[u1][v2] == D("0.4").scaled
+        assert inv[v2][u1] == D("0.4").scaled
+        assert inv == interp.role_relation("r").inverse()._fwd
+
+    @pytest.mark.parametrize("build", [twin_stars, layered_cycles, research_network])
+    @pytest.mark.parametrize("features", FEATURE_SETS)
+    def test_sets_and_rows_are_the_interpretations_own(self, build, features):
+        interp = build()
+        sig = interp.signature
+        # every name is interpreted, so no empty set or relation is made up
+        assert set(interp.concepts) == set(sig.concept_names)
+        assert set(interp.roles) == set(sig.role_names)
+        label_sets, role_rows = to_fuzzy_graph(interp, features)
+        for entries, c in zip(label_sets, sig.concept_names):
+            assert entries is interp.concept_set(c)._entries
+        roles = basic_roles(sig, features)
+        assert len(role_rows) == len(roles)
+        for rows, role in zip(role_rows, roles):
+            assert rows is interp.basic_role_relation(role)._fwd
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs())
@@ -88,17 +104,16 @@ class TestGraphEncoding:
         # vertex's lists must still be the ones the sorted items() give,
         # and the numbering must be the identity
         first, second, features = case
-        graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
         n = first.n + second.n
-        labels, out, nroles, index = _encode(graphs, range(n))
-        assert (labels, out, nroles) == encode_reference(graphs)
+        labels, out, nroles, index = _encode([first, second], features, range(n))
+        assert (labels, out, nroles) == encode_reference([first, second], features)
         assert index == list(range(n))
 
 
 class TestGreatestBisimulation:
     def test_twin_stars_plain_partition(self):
         interp = twin_stars()
-        result = greatest_auto_bisimulation(interp, frozenset())
+        result = greatest_bisimulation(interp, interp, frozenset())
         assert is_fuzzy_equivalence(result.Z)
         partition = build_compact_partition(result.Z, interp.domain)
         assert partition.render() == (
@@ -108,12 +123,12 @@ class TestGreatestBisimulation:
     def test_single_element(self):
         sig = Signature(("A",), ("r",), ("a",))
         interp = make_interpretation(sig, ["x"], {"a": "x"})
-        result = greatest_auto_bisimulation(interp, frozenset())
+        result = greatest_bisimulation(interp, interp, frozenset())
         assert result.Z == FuzzyRelation(1, 1, {(0, 0): ONE})
 
     def test_layered_pairwise_values(self):
         interp = layered_cycles()
-        Z = greatest_auto_bisimulation(interp, frozenset()).Z
+        Z = greatest_bisimulation(interp, interp, frozenset()).Z
         idx = interp.element_index
         assert Z.value(idx("u1"), idx("u2")) == ONE
         for a, b in (("v1", "v2"), ("v1", "v3"), ("v2", "v3")):
@@ -149,7 +164,7 @@ class TestGreatestBisimulation:
             sig, ["x", "y", "z"], {"a": "x"},
             {"A": {"x": "0.2", "y": "0.4", "z": "0.6"}},
         )
-        Z = greatest_auto_bisimulation(interp, frozenset()).Z
+        Z = greatest_bisimulation(interp, interp, frozenset()).Z
         for i in range(3):
             for j in range(3):
                 if i != j:
@@ -173,7 +188,7 @@ class TestEngineAgreement:
         for seed in range(100):
             features = [frozenset(), frozenset("I"), frozenset("O"), frozenset("IO")][seed % 4]
             interp = small_random_instance(seed, features=features)
-            fast = greatest_auto_bisimulation(interp, features).Z
+            fast = greatest_bisimulation(interp, interp, features).Z
             natural = greatest_bisimulation_reference(interp, interp, features)
             rng = random.Random(seed + 1)
             pairs = [(x, y) for x in range(interp.n) for y in range(interp.n)]
@@ -195,18 +210,18 @@ class TestEngineAgreement:
                  for r, rel in interp.roles.items()},
             )
             assert greatest_bisimulation(interp, twin, frozenset()).Z == \
-                greatest_auto_bisimulation(interp, frozenset()).Z
+                greatest_bisimulation(interp, interp, frozenset()).Z
 
     def test_auto_result_is_equivalence(self):
         for seed in range(0, 40, 5):
             interp = small_random_instance(seed)
-            assert is_fuzzy_equivalence(greatest_auto_bisimulation(interp, frozenset()).Z)
+            assert is_fuzzy_equivalence(greatest_bisimulation(interp, interp, frozenset()).Z)
 
     def test_degrees_come_from_the_input(self):
         for seed in (2, 9, 21):
             interp = small_random_instance(seed)
             allowed = set(interpretation_degree_pool(interp)) | {ZERO, ONE}
-            Z = greatest_auto_bisimulation(interp, frozenset()).Z
+            Z = greatest_bisimulation(interp, interp, frozenset()).Z
             assert {d for _, d in Z.items()} <= allowed
 
     def test_maximality_single_entry_bumps_fail(self):
@@ -216,7 +231,7 @@ class TestEngineAgreement:
             universe = sorted(
                 {ZERO, ONE} | set(interpretation_degree_pool(interp)),
             )
-            Z = greatest_auto_bisimulation(interp, frozenset()).Z
+            Z = greatest_bisimulation(interp, interp, frozenset()).Z
             entries = dict(Z.items())
             n = interp.n
             for x in range(n):
@@ -285,7 +300,7 @@ class TestSignatureRefinement:
         reference = greatest_bisimulation_reference(interp, interp, features)
         partition, _ = auto_partition(interp, features)
         assert partition.to_equivalence() == reference
-        assert greatest_auto_bisimulation(interp, features).Z == reference
+        assert greatest_bisimulation(interp, interp, features).Z == reference
 
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs())
@@ -321,19 +336,18 @@ class TestSignatureRefinement:
         # element per round (n - 2 splitting rounds, then one that splits
         # nothing); each higher level adds one round that splits nothing
         assert rounds == n + 1
-        assert greatest_auto_bisimulation(interp, frozenset()).iterations == rounds
+        assert greatest_bisimulation(interp, interp, frozenset()).iterations == rounds
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(interpretations(), feature_sets)
     def test_worklist_engine_matches_full_recompute(self, interp, features):
-        assert_engine_matches_reference(_encode([to_fuzzy_graph(interp, features)], range(interp.n))[:3])
+        assert_engine_matches_reference(_encode([interp], features, range(interp.n))[:3])
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(interpretation_pairs())
     def test_worklist_engine_matches_full_recompute_on_unions(self, case):
         first, second, features = case
-        graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
-        assert_engine_matches_reference(_encode(graphs, range(first.n + second.n))[:3])
+        assert_engine_matches_reference(_encode([first, second], features, range(first.n + second.n))[:3])
 
     def test_dead_edge_source_with_unchanged_signature_keeps_its_class(self):
         # entering level 0.8, the A labels of u and v drop below it and split
@@ -345,7 +359,7 @@ class TestSignatureRefinement:
             {"A": {"u": "0.5", "v": "0.5", "w": 1}},
             {"r": {("u", "t1"): "0.5", ("u", "t2"): 1, ("v", "t2"): 1, ("w", "t2"): "0.8"}},
         )
-        assert_engine_matches_reference(_encode([to_fuzzy_graph(interp, frozenset())], range(interp.n))[:3])
+        assert_engine_matches_reference(_encode([interp], frozenset(), range(interp.n))[:3])
         partition, _ = auto_partition(interp, frozenset())
         u, v = interp.element_index("u"), interp.element_index("v")
         assert partition.degree(u, v) == ONE
@@ -369,7 +383,7 @@ class TestTheoremSampling:
         for seed in range(12):
             features = [frozenset(), frozenset("I"), frozenset("O"), frozenset("IO")][seed % 4]
             interp = small_random_instance(seed + 50, max_size=10, features=features)
-            Z = greatest_auto_bisimulation(interp, features).Z
+            Z = greatest_bisimulation(interp, interp, features).Z
             pool = interpretation_degree_pool(interp)
             for _ in range(200):
                 concept = random_concept(
@@ -384,7 +398,7 @@ class TestTheoremSampling:
         rng = random.Random(77)
         for seed in (5, 23):
             interp = small_random_instance(seed, max_size=6)
-            Z = greatest_auto_bisimulation(interp, frozenset()).Z
+            Z = greatest_bisimulation(interp, interp, frozenset()).Z
             n = interp.n
             best = [[ONE] * n for _ in range(n)]
             pool = interpretation_degree_pool(interp)
@@ -405,7 +419,7 @@ class TestCheckBisimulation:
     def test_computed_relation_is_clean(self):
         interp = layered_cycles()
         for features in (frozenset(), frozenset("I"), frozenset("O"), frozenset("IO")):
-            Z = greatest_auto_bisimulation(interp, features).Z
+            Z = greatest_bisimulation(interp, interp, features).Z
             assert check_bisimulation(Z, interp, interp, features) == []
 
     def test_all_ones_relation_reports_label_violation(self):
@@ -542,6 +556,16 @@ class TestCollectorPause:
             (lambda: check_bisimulation(FuzzyRelation(interp.n, other.n, {}), interp, other), "different signatures"),
             (lambda: build_compact_partition(non_equivalence), "not a fuzzy equivalence"),
         ]
+        # the network's individuals have no element in the stars, and the
+        # feature X is unknown: the signature check must still come first
+        network, stars = research_network(), twin_stars()
+        for features in (None, frozenset("X")):
+            raising += [
+                (lambda f=features: bisimilarity_degree(network, stars, f), "different signatures"),
+                (lambda f=features: greatest_bisimulation(network, stars, f), "different signatures"),
+                (lambda f=features: check_bisimulation(FuzzyRelation(network.n, stars.n, {}), network, stars, f),
+                 "different signatures"),
+            ]
         was_on = gc.isenabled()
         try:
             for on in (True, False):

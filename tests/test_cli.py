@@ -160,12 +160,16 @@ class TestFileFormat:
         (DUPLICATE_NAMES + "concept A u 0.5\n", "line 9: section 'concept' appears out of order"),
         ("concepts A\nroles r\nindividuals a\nrole r u v 0.5\ndomain u v\n",
          "line 4: unknown domain element in role fact r u v"),
+        # Arabic-Indic digits: int() reads them, the text format does not
+        (DUPLICATE_NAMES.replace("concept A v 0.5", "concept A v \u0660.\u0665"),
+         "line 7: malformed degree literal: '\u0660.\u0665'"),
     ], ids=[
         "duplicate-only", "across-domain-lines", "before-missing-assignment", "bad-element-line",
         "zero-degree-line", "duplicate-fact-line", "out-of-order-line", "no-individual-names",
         "signature-declared-twice", "signature-cross-kind", "signature-no-individuals",
         "duplicate-fact-on-duplicate-name", "comment-glued-to-degree", "comment-glued-then-bad-line",
         "comment-inside-keyword", "form-feed-blank-line", "concept-after-role", "role-before-domain",
+        "non-ascii-digits",
     ])
     def test_duplicate_domain_names_come_after_line_and_signature_errors(self, text, message):
         with pytest.raises(CliInputError) as info:
@@ -287,6 +291,15 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert "u:0.7" in lines
         assert lines == ["u:0.7", "u':0.7"]
+
+    @pytest.mark.parametrize("constant", ["\u0660.\u0665", "\uff10.\uff15"])
+    def test_eval_rejects_digits_outside_ascii(self, tmp_path, capsys, constant):
+        infile = tmp_path / "in.txt"
+        infile.write_text(TWIN_FILE)
+        status, out, err = run_cli(
+            capsys, ["eval", "--concept", f"A and {constant}", "--in", str(infile)])
+        assert (status, out) == (1, "")
+        assert err == f"error: bad concept expression: unexpected character {constant[0]!r} (at position 6)\n"
 
     def test_bisim_command(self, tmp_path, capsys):
         infile = tmp_path / "in.txt"

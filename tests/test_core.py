@@ -44,6 +44,12 @@ class TestDegree:
             with pytest.raises(ValueError):
                 D(bad)
 
+    def test_rejects_digits_outside_ascii(self):
+        # int() reads any Unicode decimal digit, so the literal must be ASCII
+        for bad in ("\u0660.\u0665", "\uff10.\uff15", "0.\u0665", "\uff11"):
+            with pytest.raises(ValueError, match="malformed degree literal"):
+                D(bad)
+
     def test_rejects_floats_that_are_not_nine_digit_decimals(self):
         for bad in (1e-12, 0.1234567891, 1.0000000001, float("inf"), float("nan")):
             with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from fuzzymin import (
     bisimilarity_degree,
     check_bisimulation,
     construct_witness,
-    greatest_auto_bisimulation,
     make_interpretation,
     size_stats,
     validate,

@@ -5,7 +5,7 @@ import pytest
 
 from fuzzymin import (
     build_compact_partition,
-    greatest_auto_bisimulation,
+    greatest_bisimulation,
     identity_relation,
     is_fuzzy_equivalence,
     rst_closure,
@@ -24,7 +24,7 @@ D = Degree
 
 def twin_equivalence():
     interp = twin_stars()
-    return greatest_auto_bisimulation(interp, frozenset()).Z, interp.domain
+    return greatest_bisimulation(interp, interp, frozenset()).Z, interp.domain
 
 
 class TestBuild:

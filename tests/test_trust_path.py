@@ -16,7 +16,7 @@ from fuzzymin import (
     check_bisimulation,
     construct_witness,
 )
-from fuzzymin.bisim import _encode, _refine, _union_graphs, to_fuzzy_graph
+from fuzzymin.bisim import _encode, _refine
 from fuzzymin.core import Degree, FuzzyRelation, ONE, ZERO, biresiduum
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
@@ -131,13 +131,12 @@ class TestReachEncoding:
     @given(interpretation_pairs(), st.sampled_from(FEATURE_SETS), st.data())
     def test_encode_is_the_reference_cut_to_the_reached_part(self, case, features, data):
         first, second, _ = case
-        graphs = [to_fuzzy_graph(first, features), to_fuzzy_graph(second, features)]
-        labels, out, nroles = encode_reference(graphs)
+        labels, out, nroles = encode_reference([first, second], features)
         # the individual pairs, as bisimilarity_degree seeds them, then a few more
         seeds = [v for a in first.signature.individual_names
                  for v in (first.individual_element(a), first.n + second.individual_element(a))]
         seeds += data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=3))
-        got_labels, got_out, got_nroles, index = _encode(graphs, seeds)
+        got_labels, got_out, got_nroles, index = _encode([first, second], features, seeds)
         assert (got_labels, got_out, index) == reach_reference(labels, out, seeds)
         assert got_nroles == nroles
 
@@ -150,7 +149,7 @@ class TestDegreeOffTheLog:
     @given(interpretation_pairs())
     def test_every_pair_matches_the_cuts(self, case):
         first, second, features = case
-        log, _ = _refine(*_encode(_union_graphs(first, second, features), range(first.n + second.n))[:3])
+        log, _ = _refine(*_encode([first, second], features, range(first.n + second.n))[:3])
         cuts = cuts_from_log(log)
         for u in range(len(log.block)):
             for v in range(len(log.block)):
@@ -159,7 +158,7 @@ class TestDegreeOffTheLog:
                 assert log.degree(u, v) == expected
 
     def union_log(self, first, second):
-        log, _ = _refine(*_encode(_union_graphs(first, second, frozenset()), range(first.n + second.n))[:3])
+        log, _ = _refine(*_encode([first, second], frozenset(), range(first.n + second.n))[:3])
         a = (first.individual_element("a"), first.n + second.individual_element("a"))
         return log, a
 
