@@ -374,9 +374,6 @@ def greatest_bisimulation(
     """Greatest fuzzy bisimulation between two interpretations over one
     signature: the auto-bisimulation of their disjoint union, restricted to
     the first domain times the second."""
-    if interp1 is interp2:
-        partition, rounds = auto_partition(interp1, features)
-        return BisimResult(partition.to_equivalence(), rounds)
     require_same_signature(interp1, interp2)
     n1 = interp1.n
     log, rounds = _refine(*_encode([interp1, interp2], features, range(n1 + interp2.n))[:3])

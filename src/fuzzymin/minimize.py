@@ -165,7 +165,6 @@ def approximate_minimize(
     params: MinimizeParams,
     *,
     partition: Optional[CompactFuzzyPartition] = None,
-    debug_checks: bool = False,
     narrate: Optional[Callable[[str], None]] = None,
 ) -> MinimizeResult:
     """Minimize the domain while preserving concept assertions up to gamma.
@@ -191,18 +190,6 @@ def approximate_minimize(
         partition, rounds = auto_partition(interp, fs)
     run = _Run(partition)
     keeper = run.keeper
-
-    def check_block(b: int) -> None:
-        if keeper[b] >= 0:
-            assert partition.lo[b] <= partition.pos[keeper[b]] < partition.hi[b], (
-                "representative left its block"
-            )
-        while run.parent[b] >= 0:
-            p = run.parent[b]
-            assert not (keeper[p] < 0 and keeper[b] >= 0), (
-                "descendant has a representative while an ancestor lacks one"
-            )
-            b = p
 
     # roles by index; a link of degree e waits in bucket rank[e], the buckets
     # ranked by descending degree, FIFO inside one, and ``active`` holds the
@@ -251,8 +238,6 @@ def approximate_minimize(
             new_individuals[a] = keeper[block]
             if narrate is not None:
                 narrate(f"seed {a} -> {name(keeper[block])} (alias)")
-        if debug_checks:
-            check_block(block)
 
     for x in added_order:
         push_out_edges(x)
@@ -282,8 +267,6 @@ def approximate_minimize(
                 push_out_edges(y)
                 if narrate is not None:
                     narrate(f"  add {name(y)}; block degree {partition.degrees[block]} keeper := {name(y)}")
-            if debug_checks:
-                check_block(block)
             # the role entry between x and y's keeper, at the first level that reaches it
             if inverse[r]:
                 src, dst = keeper[block], x

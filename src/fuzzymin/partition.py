@@ -8,8 +8,8 @@ root), ``degrees`` and ``scaled`` (each block's degree, as a ``Degree`` and
 as a scaled int), and ``lo``/``hi``, which make each block's elements the
 span ``order[lo:hi]``; ``leaf[x]`` is the id of x's leaf.  Other modules read
 a row of the equivalence through ``row``, which walks one leaf-to-root path,
-or read the arrays.  ``Block`` objects are read-only views for the public
-API, all built together on the first call that returns one.
+or read the arrays.  ``blocks`` lists the blocks as ``Block`` tuples, built
+afresh on each call.
 
 The tree is built from a ``SplitLog``, the refinement's record of which
 class split off from which and at what level, in O(n + classes) plus sorting
@@ -20,7 +20,7 @@ is bounded only by memory."""
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .core import Degree, FuzzyRelation, ONE, ZERO
 
@@ -65,38 +65,27 @@ class SplitLog(NamedTuple):
         return self.levels[k - 1] if k else ZERO
 
 
-class Block:
-    """A read-only view of one node of the block tree.
+class Block(NamedTuple):
+    """One block of the tree, read off its arrays: the parent is an id (-1
+    at the root) and the elements are the span ``order[lo:hi]``.  Crisp
+    blocks (leaves) have degree 1; fuzzy blocks have degree < 1 and at least
+    two subblocks."""
 
-    Crisp blocks (leaves) have degree 1 and carry elements directly; fuzzy
-    blocks have degree < 1 and at least two subblocks.  Elements are kept as
-    a contiguous span over the partition's element ordering, so membership
-    and enumeration stay cheap.
-    """
-
-    __slots__ = ("id", "degree", "parent", "children", "lo", "hi")
-
-    def __init__(self, block_id: int, degree: Degree, parent: Optional["Block"]):
-        self.id = block_id
-        self.degree = degree
-        self.parent = parent
-        self.children: List["Block"] = []
-        self.lo = 0
-        self.hi = 0
+    id: int
+    degree: Degree
+    parent: int
+    lo: int
+    hi: int
 
     @property
     def is_crisp(self) -> bool:
-        return not self.children
-
-    def __repr__(self) -> str:
-        kind = "crisp" if self.is_crisp else "fuzzy"
-        return f"Block(#{self.id}, {kind}, degree={self.degree})"
+        return self.degree == ONE
 
 
 class CompactFuzzyPartition:
     """Block tree over a finite carrier, never mutated after construction.
 
-    Blocks are numbered 0..block_count()-1 in preorder, children ordered by
+    Blocks are numbered 0..len(parent)-1 in preorder, children ordered by
     least element, so per-run state (the minimizer's keepers) lives in lists
     the run owns, indexed by block id.  The arrays are described in the
     module docstring; callers must not write to them.
@@ -119,63 +108,14 @@ class CompactFuzzyPartition:
         self.hi = hi
         self.order = order
         self.leaf = leaf
-        self.pos = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
         self.names = list(names)
-        self._views: Optional[List[Block]] = None
-        self._leaf_views: List[Block] = []
 
     @property
     def n(self) -> int:
         return len(self.order)
 
-    def _blocks(self) -> List[Block]:
-        """The ``Block`` views, and each element's leaf among them, built once."""
-        if self._views is None:
-            views: List[Block] = []
-            for b, p in enumerate(self.parent):
-                block = Block(b, self.degrees[b], views[p] if p >= 0 else None)
-                block.lo, block.hi = self.lo[b], self.hi[b]
-                if p >= 0:
-                    views[p].children.append(block)
-                views.append(block)
-            self._views = views
-            self._leaf_views = [views[b] for b in self.leaf]
-        return self._views
-
-    @property
-    def root(self) -> Block:
-        return self._blocks()[0]
-
-    @property
-    def leaf_of(self) -> List[Block]:
-        """Each element's leaf, as a view."""
-        self._blocks()
-        return self._leaf_views
-
-    def blocks(self) -> Iterator[Block]:
-        return iter(self._blocks())
-
-    def block_count(self) -> int:
-        return len(self.parent)
-
-    def block_elements(self, block: Block) -> List[int]:
-        return self.order[block.lo:block.hi]
-
-    def contains(self, block: Block, x: int) -> bool:
-        return block.lo <= self.pos[x] < block.hi
-
-    def find_block(self, x: int, d: Degree) -> Block:
-        """The block on x's root-to-leaf path with the smallest degree >= d.
-
-        A crisp leaf always qualifies (degree 1); d must be positive.
-        """
-        if d.is_zero:
-            raise ValueError("find_block requires a positive degree")
-        parent, scaled = self.parent, self.scaled
-        b = self.leaf[x]
-        while parent[b] >= 0 and scaled[parent[b]] >= d.scaled:
-            b = parent[b]
-        return self._blocks()[b]
+    def blocks(self) -> List[Block]:
+        return list(map(Block, range(len(self.parent)), self.degrees, self.parent, self.lo, self.hi))
 
     def render(self, names: Sequence[str] | None = None) -> str:
         """Text form of the tree, e.g. ``{{a1}_1, {{a2}_1,{a3}_1}_0.4}_0``.
@@ -216,13 +156,6 @@ class CompactFuzzyPartition:
             # [lo, hi) is the span already visited
             yield scaled[b], order[lo_of[b]:lo] + order[hi:hi_of[b]]
             lo, hi, b = lo_of[b], hi_of[b], parent[b]
-
-    def degree(self, x: int, y: int) -> Degree:
-        """Degree of the deepest block holding both x and y (1 inside one leaf)."""
-        b, p = self.leaf[x], self.pos[y]
-        while not self.lo[b] <= p < self.hi[b]:
-            b = self.parent[b]
-        return self.degrees[b]
 
     def to_equivalence(self) -> FuzzyRelation:
         """Reconstruct the fuzzy equivalence: pairs get their least-common-ancestor degree."""

@@ -27,7 +27,6 @@ from fuzzymin.bisim import BisimViolation, _refine
 from fuzzymin.core import Degree, FuzzyRelation, FuzzySet, ONE, ZERO, biresiduum, tnorm
 from fuzzymin.model import FuzzyInterpretation, basic_roles, normalize_features
 from fuzzymin.partition import SplitLog
-from partition_reference import partition_from_cuts_reference
 
 
 def label_sets(interp: FuzzyInterpretation, features: frozenset) -> List[FuzzySet]:
@@ -79,14 +78,20 @@ def bisimilarity_degree_reference(
     features: Iterable[str] | None = None,
 ) -> Degree:
     """min over individuals a of Z(a in the first, a in the second), read off
-    the block tree of the whole union's greatest auto-bisimulation."""
+    the cuts of the whole union's greatest auto-bisimulation: Z(x, y) is the
+    last level whose cut holds x and y in one class (0 if none does)."""
     if not interp1.signature.same_names(interp2.signature):
         raise ValueError("interpretations use different signatures")
     log, _ = _refine(*encode_reference([interp1, interp2], features))
-    partition = partition_from_cuts_reference(log.levels, cuts_from_log(log), interp1.domain + interp2.domain)
+    cuts = cuts_from_log(log)
     n1 = interp1.n
+
+    def degree(x: int, y: int) -> Degree:
+        together = [k for k, cut in enumerate(cuts) if cut[x] == cut[y]]
+        return log.levels[together[-1]] if together else ZERO
+
     return min(
-        partition.degree(interp1.individual_element(a), n1 + interp2.individual_element(a))
+        degree(interp1.individual_element(a), n1 + interp2.individual_element(a))
         for a in interp1.signature.individual_names
     )
 

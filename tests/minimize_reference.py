@@ -5,13 +5,21 @@ against ``fuzzymin.minimize``.
 binary heap keyed by ``(-degree, insertion sequence)``, O(m log m), as the
 package did before its bucket queue; the reduced interpretation, the trace
 and the narrative must be identical.
+
+``CheckedRun`` is the reduction's run state with its invariants asserted
+after every lookup and claim; ``checked_runs`` puts it under both
+reductions, the package's and this one.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+import sys
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from unittest import mock
 
+import fuzzymin.minimize
 from fuzzymin.bisim import auto_partition
 from fuzzymin.core import Degree, FuzzyRelation, FuzzySet
 from fuzzymin.minimize import (
@@ -26,12 +34,59 @@ from fuzzymin.model import BasicRole, FuzzyInterpretation, basic_roles, validate
 from fuzzymin.partition import CompactFuzzyPartition
 
 
+class CheckedRun(_Run):
+    """``_Run`` that, after each ``locate`` and ``claim``, checks the block
+    and its root path: a claimed block's keeper lies in its span
+    ``order[lo:hi]``, and no claimed block has an unclaimed parent."""
+
+    __slots__ = ("lo", "hi", "pos")
+
+    def __init__(self, partition: CompactFuzzyPartition):
+        super().__init__(partition)
+        self.lo, self.hi = partition.lo, partition.hi
+        self.pos = [0] * partition.n  # order's inverse
+        for i, x in enumerate(partition.order):
+            self.pos[x] = i
+
+    def locate(self, x: int, d: int) -> int:
+        b = super().locate(x, d)
+        self.check(b)
+        return b
+
+    def claim(self, b: int, x: int) -> None:
+        super().claim(b, x)
+        self.check(b)
+
+    def check(self, b: int) -> None:
+        keeper, parent = self.keeper, self.parent
+        while b >= 0:
+            if keeper[b] >= 0:
+                assert self.lo[b] <= self.pos[keeper[b]] < self.hi[b], "representative left its block"
+                assert parent[b] < 0 or keeper[parent[b]] >= 0, (
+                    "descendant has a representative while an ancestor lacks one")
+            b = parent[b]
+
+
+@contextmanager
+def checked_runs() -> Iterator[List[CheckedRun]]:
+    """Run both reductions, the package's and the reference, on ``CheckedRun``;
+    yields the runs made, so a test can see that the checks ran."""
+    made: List[CheckedRun] = []
+
+    def checked(partition: CompactFuzzyPartition) -> CheckedRun:
+        made.append(CheckedRun(partition))
+        return made[-1]
+
+    with mock.patch.object(fuzzymin.minimize, "_Run", checked), \
+            mock.patch.object(sys.modules[__name__], "_Run", checked):
+        yield made
+
+
 def approximate_minimize_reference(
     interp: FuzzyInterpretation,
     params: MinimizeParams,
     *,
     partition: Optional[CompactFuzzyPartition] = None,
-    debug_checks: bool = False,
     narrate: Optional[Callable[[str], None]] = None,
 ) -> MinimizeResult:
     """``approximate_minimize`` with every link in one heap keyed by
@@ -51,17 +106,6 @@ def approximate_minimize_reference(
         partition, rounds = auto_partition(interp, fs)
     run = _Run(partition)
     keeper = run.keeper
-    views = list(partition.blocks())
-
-    def check_block(b: int) -> None:
-        if keeper[b] >= 0:
-            assert partition.contains(views[b], keeper[b]), "representative left its block"
-        while run.parent[b] >= 0:
-            p = run.parent[b]
-            assert not (keeper[p] < 0 and keeper[b] >= 0), (
-                "descendant has a representative while an ancestor lacks one"
-            )
-            b = p
 
     roles_in_order = basic_roles(sig, fs)
     adjacency = {role: interp.basic_role_relation(role) for role in roles_in_order}
@@ -106,8 +150,6 @@ def approximate_minimize_reference(
             new_individuals[a] = keeper[block]
             if narrate is not None:
                 narrate(f"seed {a} -> {name(keeper[block])} (alias)")
-        if debug_checks:
-            check_block(block)
 
     for x in added_order:
         push_out_edges(x)
@@ -129,9 +171,7 @@ def approximate_minimize_reference(
                 run.claim(block, y)
                 push_out_edges(y)
                 if narrate is not None:
-                    narrate(f"  add {name(y)}; block degree {views[block].degree} keeper := {name(y)}")
-            if debug_checks:
-                check_block(block)
+                    narrate(f"  add {name(y)}; block degree {partition.degrees[block]} keeper := {name(y)}")
             # the role entry between x and y's keeper, at the first level that reaches it
             src, dst = (keeper[block], x) if role.inverse else (x, keeper[block])
             bucket = new_roles[role.name]

@@ -1,10 +1,12 @@
-"""Reference implementations of the block tree's builder and renderer, kept
-for differential tests against ``fuzzymin.partition``.
+"""Reference implementations of the block tree's builder, renderer and
+lookup, kept for differential tests against ``fuzzymin.partition`` and the
+reduction's ``_Run.locate``.
 
-Both recurse once per level of the tree.  The builder reads the d-cuts one
-level at a time and rescans each block's elements per level, as the package
-did before it built the tree from the refinement's split log; the trees and
-texts they give must be identical.
+The builder and renderer recurse once per level of the tree, and the
+builder links ``Node`` objects of its own.  It reads the d-cuts one level at
+a time and rescans each block's elements per level, as the package did
+before it built the tree from the refinement's split log; the trees and
+texts they give must be identical.  The lookup scans a whole root path.
 """
 
 from __future__ import annotations
@@ -12,7 +14,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from fuzzymin.core import Degree, ONE, ZERO
-from fuzzymin.partition import Block, CompactFuzzyPartition
+from fuzzymin.partition import CompactFuzzyPartition
+
+
+class Node:
+    """One block of a reference tree, linked to its parent and children."""
+
+    def __init__(self, block_id: int, degree: Degree, parent: Optional["Node"]):
+        self.id = block_id
+        self.degree = degree
+        self.parent = parent
+        self.children: List["Node"] = []
+        self.lo = self.hi = 0
 
 
 def partition_from_cuts_reference(
@@ -26,11 +39,11 @@ def partition_from_cuts_reference(
         raise ValueError("a partition needs a non-empty carrier")
     if len(names) != n:
         raise ValueError(f"{len(names)} names for a carrier of {n} elements")
-    blocks: List[Block] = []
+    blocks: List[Node] = []
     order: List[int] = []
     top = len(levels)
 
-    def build(elems: List[int], level: int, parent: Optional[Block]) -> Block:
+    def build(elems: List[int], level: int, parent: Optional[Node]) -> Node:
         # elems ascend and are one class in every cut below ``level``
         while level < top:
             cut = cuts[level]
@@ -39,7 +52,7 @@ def partition_from_cuts_reference(
                 break
             level += 1
         degree = ONE if level == top else levels[level - 1] if level else ZERO
-        b = Block(len(blocks), degree, parent)
+        b = Node(len(blocks), degree, parent)
         blocks.append(b)
         b.lo = len(order)
         if level == top:
@@ -55,7 +68,7 @@ def partition_from_cuts_reference(
     build(list(range(n)), 0, None)
     leaf = [0] * n
     for b in blocks:
-        if b.is_crisp:
+        if not b.children:
             for x in order[b.lo:b.hi]:
                 leaf[x] = b.id
     return CompactFuzzyPartition(
@@ -72,13 +85,28 @@ def partition_from_cuts_reference(
 def render_reference(partition: CompactFuzzyPartition, names: Sequence[str] | None = None) -> str:
     """The tree's text, built by one recursive call per block."""
     names = partition.names if names is None else list(names)
+    children: List[List[int]] = [[] for _ in partition.parent]
+    for b, p in enumerate(partition.parent[1:], 1):
+        children[p].append(b)
 
-    def go(block: Block) -> str:
-        if block.is_crisp:
-            inner = ",".join(names[x] for x in partition.block_elements(block))
+    def go(b: int) -> str:
+        kids = children[b]
+        if not kids:
+            inner = ",".join(names[x] for x in partition.order[partition.lo[b]:partition.hi[b]])
         else:
-            sep = "," if all(c.is_crisp for c in block.children) else ", "
-            inner = sep.join(go(c) for c in block.children)
-        return f"{{{inner}}}_{block.degree}"
+            sep = "," if all(not children[c] for c in kids) else ", "
+            inner = sep.join(go(c) for c in kids)
+        return f"{{{inner}}}_{partition.degrees[b]}"
 
-    return go(partition.root)
+    return go(0)
+
+
+def locate_reference(partition: CompactFuzzyPartition, x: int, d: Degree) -> int:
+    """Linear scan of x's root path, from ``leaf[x]`` over ``parent``, for the
+    block with the least degree >= d; the reference for ``_Run.locate``."""
+    path = []
+    b = partition.leaf[x]
+    while b >= 0:
+        path.append(b)
+        b = partition.parent[b]
+    return min((b for b in path if partition.scaled[b] >= d.scaled), key=partition.scaled.__getitem__)

@@ -197,7 +197,16 @@ class TestEngineAgreement:
             assert natural == shuffled
             assert fast == natural
 
-    def test_general_engine_matches_auto_path(self):
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(interpretations(), feature_sets)
+    def test_general_engine_matches_auto_path(self, interp, features):
+        # an interpretation against itself takes the union path
+        partition, rounds = auto_partition(interp, features)
+        result = greatest_bisimulation(interp, interp, features)
+        assert result.Z == partition.to_equivalence()
+        assert result.iterations == rounds
+
+    def test_copy_matches_itself(self):
         for seed in (3, 17, 40):
             interp = small_random_instance(seed)
             twin = make_interpretation(
@@ -331,7 +340,7 @@ class TestSignatureRefinement:
         partition, rounds = auto_partition(interp, frozenset())
         leaves = [b for b in partition.blocks() if b.is_crisp]
         assert len(leaves) == n
-        assert all(len(partition.block_elements(b)) == 1 for b in leaves)
+        assert all(b.hi - b.lo == 1 for b in leaves)
         # levels 0.4, 0.7 and 1: at 0.4 the tail's label reaches one more
         # element per round (n - 2 splitting rounds, then one that splits
         # nothing); each higher level adds one round that splits nothing
@@ -362,7 +371,7 @@ class TestSignatureRefinement:
         assert_engine_matches_reference(_encode([interp], frozenset(), range(interp.n))[:3])
         partition, _ = auto_partition(interp, frozenset())
         u, v = interp.element_index("u"), interp.element_index("v")
-        assert partition.degree(u, v) == ONE
+        assert partition.to_equivalence().value(u, v) == ONE
 
     def test_long_alternating_chain_rounds(self):
         # a full recompute per round makes this quadratic (seconds); the

@@ -26,6 +26,8 @@ from fuzzymin.minimize import (
 )
 from bisim_reference import greatest_bisimulation_reference
 from instances import layered_cycles, research_network, twin_stars, two_chains
+from minimize_reference import checked_runs
+from partition_reference import locate_reference
 from strategies import FEATURE_SETS, PALETTE, feature_sets, interpretations
 
 D = Degree
@@ -380,7 +382,7 @@ class TestProperties:
             run = _Run(partition)
             for d in compute_D(interp, gamma):
                 for x in range(interp.n):
-                    assert run.locate(x, d.scaled) == partition.find_block(x, d).id
+                    assert run.locate(x, d.scaled) == locate_reference(partition, x, d)
 
     def test_debug_checks_hold_on_goldens(self):
         for interp, features, gamma in [
@@ -388,8 +390,9 @@ class TestProperties:
             (layered_cycles(), frozenset("I"), ONE),
             (two_chains(), frozenset("O"), D("0.8")),
         ]:
-            approximate_minimize(
-                interp, MinimizeParams(features, gamma), debug_checks=True)
+            with checked_runs() as runs:
+                approximate_minimize(interp, MinimizeParams(features, gamma))
+            assert len(runs) == 1
 
 
 class TestNarration:

@@ -12,6 +12,7 @@ from fuzzymin import (
 )
 from fuzzymin.core import Degree, FuzzyRelation, ONE, SCALE
 from fuzzymin.minimize import _Run
+from partition_reference import locate_reference
 from instances import (
     SEVEN_POINT_RENDERED,
     TABLE_NAMES,
@@ -36,7 +37,7 @@ class TestBuild:
         n = 3
         rel = FuzzyRelation(n, n, {(i, j): ONE for i in range(n) for j in range(n)})
         partition = build_compact_partition(rel, ["x", "y", "z"])
-        assert partition.root.is_crisp
+        assert partition.parent == [-1] and partition.blocks()[0].is_crisp
         assert partition.render() == "{x,y,z}_1"
 
     def test_twin_stars_partition(self):
@@ -54,18 +55,29 @@ class TestBuild:
         for _ in range(30):
             phi = _random_equivalence(rng, rng.randint(1, 25))
             partition = build_compact_partition(phi)
-            for block in partition.blocks():
+            order = partition.order
+            blocks = partition.blocks()
+            assert blocks == list(zip(range(len(partition.parent)), partition.degrees,
+                                      partition.parent, partition.lo, partition.hi))
+            children = [[] for _ in blocks]
+            for block in blocks[1:]:
+                children[block.parent].append(block)
+            for block in blocks:
+                assert block.is_crisp == (not children[block.id])
                 if block.is_crisp:
                     assert block.degree == ONE
-                    assert partition.block_elements(block)
+                    assert order[block.lo:block.hi]
                 else:
                     assert block.degree < ONE
-                    assert len(block.children) >= 2
+                    assert len(children[block.id]) >= 2
                     child_elems = []
-                    for child in block.children:
+                    for child in children[block.id]:
                         assert child.degree > block.degree
-                        child_elems.extend(partition.block_elements(child))
-                    assert sorted(child_elems) == sorted(partition.block_elements(block))
+                        child_elems.extend(order[child.lo:child.hi])
+                    assert sorted(child_elems) == sorted(order[block.lo:block.hi])
+            for x in range(partition.n):
+                leaf = blocks[partition.leaf[x]]
+                assert leaf.is_crisp and x in order[leaf.lo:leaf.hi]
 
 
 class TestCarrier:
@@ -202,29 +214,28 @@ def _random_equivalence(rng, n, distinct=6):
     return rst_closure(FuzzyRelation(n, n, entries))
 
 
-def _scan(partition, x, d):
-    """Linear scan of x's root path for the block with the least degree >= d."""
-    path = []
-    block = partition.leaf_of[x]
-    while block is not None:
-        path.append(block)
-        block = block.parent
-    return min((b for b in path if b.degree >= d), key=lambda b: b.degree.scaled)
+def _elements(partition, b):
+    return partition.order[partition.lo[b]:partition.hi[b]]
 
 
 class TestFindBlock:
+    """Lookups through ``_Run.locate``: named blocks of the twin stars, and
+    a fresh run per lookup against the linear scan of the whole root path."""
+
     def test_twin_star_lookups(self):
         Z, names = twin_equivalence()
         partition = build_compact_partition(Z, names)
         idx = {name: i for i, name in enumerate(names)}
-        b = partition.find_block(idx["v3"], D("0.7"))
-        assert b.degree == D("0.7")
-        assert sorted(names[x] for x in partition.block_elements(b)) == [
-            "v1", "v1'", "v2", "v2'", "v3"]
+        run = _Run(partition)
         # a full-strength query always lands on the crisp leaf
-        leaf = partition.find_block(idx["v3"], ONE)
-        assert leaf.is_crisp and partition.block_elements(leaf) == [idx["v3"]]
-        assert partition.find_block(idx["v1"], D("0.5")) is b
+        leaf = run.locate(idx["v3"], ONE.scaled)
+        assert leaf == partition.leaf[idx["v3"]] and partition.blocks()[leaf].is_crisp
+        assert _elements(partition, leaf) == [idx["v3"]]
+        b = run.locate(idx["v3"], D("0.7").scaled)
+        assert partition.degrees[b] == D("0.7")
+        assert sorted(names[x] for x in _elements(partition, b)) == [
+            "v1", "v1'", "v2", "v2'", "v3"]
+        assert run.locate(idx["v1"], D("0.5").scaled) == b
 
     def test_agrees_with_linear_scan(self):
         rng = random.Random(23)
@@ -235,13 +246,7 @@ class TestFindBlock:
             for x in range(n):
                 for _ in range(5):
                     d = Degree.from_scaled(rng.randint(1, SCALE))
-                    assert partition.find_block(x, d) is _scan(partition, x, d)
-
-    def test_rejects_zero_threshold(self):
-        Z, names = twin_equivalence()
-        partition = build_compact_partition(Z, names)
-        with pytest.raises(ValueError):
-            partition.find_block(0, D(0))
+                    assert _Run(partition).locate(x, d.scaled) == locate_reference(partition, x, d)
 
 
 class TestFlattening:
@@ -263,13 +268,14 @@ class TestFlattening:
             )
             for d in thresholds:
                 x = rng.randrange(n)
-                plain = partition.find_block(x, d)
+                plain = locate_reference(partition, x, d)
                 flat = run.locate(x, d.scaled)
-                assert flat == plain.id == _scan(partition, x, d).id
+                assert flat == plain
                 if run.keeper[flat] < 0:
                     run.claim(flat, x)
                     claims.append((plain, x))
-                first = next(y for c, y in claims if plain.lo <= c.lo and c.hi <= plain.hi)
+                lo, hi = partition.lo, partition.hi
+                first = next(y for c, y in claims if lo[plain] <= lo[c] and hi[c] <= hi[plain])
                 assert run.keeper[flat] == first
 
     def test_flattening_a_leaf_is_a_noop(self):
@@ -277,7 +283,7 @@ class TestFlattening:
         partition = build_compact_partition(Z, names)
         run = _Run(partition)
         leaf = run.locate(2, SCALE)
-        assert list(partition.blocks())[leaf].is_crisp and leaf == partition.leaf_of[2].id
+        assert partition.blocks()[leaf].is_crisp and leaf == partition.leaf[2]
         assert run.locate(2, SCALE) == leaf
 
     def test_repeated_calls_return_same_class(self):
@@ -287,7 +293,7 @@ class TestFlattening:
         run = _Run(partition)
         first = run.locate(idx["v3"], D("0.7").scaled)
         second = run.locate(idx["v3"], D("0.7").scaled)
-        assert first == second == partition.find_block(idx["v3"], D("0.7")).id
+        assert first == second == locate_reference(partition, idx["v3"], D("0.7"))
 
     def test_later_find_sees_flattened_class_and_repr(self):
         Z, names = twin_equivalence()
@@ -297,7 +303,7 @@ class TestFlattening:
         block = run.locate(idx["v3"], D("0.7").scaled)
         run.claim(block, idx["v3"])
         later = run.locate(idx["v2"], D("0.4").scaled)
-        assert later == block == partition.find_block(idx["v2"], D("0.4")).id
+        assert later == block == locate_reference(partition, idx["v2"], D("0.4"))
         assert run.keeper[later] == idx["v3"]
 
 
@@ -314,17 +320,16 @@ class TestResetOverlay:
         outer.locate(idx["u"], D("0.4").scaled)
         outer_state = (list(outer.up), list(outer.keeper))
         inner = _Run(partition)
-        assert inner.up == list(range(partition.block_count()))
-        assert inner.keeper == [-1] * partition.block_count()
+        assert inner.up == list(range(len(partition.parent)))
+        assert inner.keeper == [-1] * len(partition.parent)
         inner.claim(inner.locate(idx["v2"], ONE.scaled), idx["v2"])
         inner.locate(idx["u"], D("0.2").scaled)
         assert (outer.up, outer.keeper) == outer_state
         fresh = build_compact_partition(Z, names)
         assert partition.render() == fresh.render()
-        assert [(b.id, b.degree, b.lo, b.hi) for b in partition.blocks()] == [
-            (b.id, b.degree, b.lo, b.hi) for b in fresh.blocks()]
+        assert partition.blocks() == fresh.blocks()
         for x in range(len(names)):
-            assert _Run(partition).locate(x, D("0.7").scaled) == fresh.find_block(x, D("0.7")).id
+            assert _Run(partition).locate(x, D("0.7").scaled) == locate_reference(fresh, x, D("0.7"))
 
 
 class TestReprPropagation:
@@ -333,28 +338,28 @@ class TestReprPropagation:
         partition = build_compact_partition(Z, names)
         idx = {name: i for i, name in enumerate(names)}
         run = _Run(partition)
-        leaf_u = partition.leaf_of[idx["u"]]
-        run.claim(leaf_u.id, idx["u"])
-        assert run.keeper[leaf_u.id] == idx["u"]
-        assert run.keeper[partition.root.id] == idx["u"]
+        parent = partition.parent
+        leaf_u = partition.leaf[idx["u"]]
+        run.claim(leaf_u, idx["u"])
+        assert run.keeper[leaf_u] == idx["u"]
+        assert run.keeper[0] == idx["u"]  # the root
         # adding below a claimed root stops immediately above the new block
-        leaf_v3 = partition.leaf_of[idx["v3"]]
-        run.claim(leaf_v3.id, idx["v3"])
-        assert run.keeper[leaf_v3.id] == idx["v3"]
-        assert run.keeper[leaf_v3.parent.id] == idx["v3"]
-        assert run.keeper[leaf_v3.parent.parent.id] == idx["v3"]
-        assert run.keeper[partition.root.id] == idx["u"]
+        leaf_v3 = partition.leaf[idx["v3"]]
+        run.claim(leaf_v3, idx["v3"])
+        assert run.keeper[leaf_v3] == idx["v3"]
+        assert run.keeper[parent[leaf_v3]] == idx["v3"]
+        assert run.keeper[parent[parent[leaf_v3]]] == idx["v3"]
+        assert parent[parent[parent[leaf_v3]]] == 0 and run.keeper[0] == idx["u"]
 
     def test_fresh_tree_claims_whole_root_path(self):
         phi = seven_point_equivalence()
         partition = build_compact_partition(phi, TABLE_NAMES)
         run = _Run(partition)
-        leaf = partition.leaf_of[3]
-        run.claim(leaf.id, 3)
-        block = leaf
-        while block is not None:
-            assert run.keeper[block.id] == 3
-            block = block.parent
+        block = partition.leaf[3]
+        run.claim(block, 3)
+        while block >= 0:
+            assert run.keeper[block] == 3
+            block = partition.parent[block]
 
     def test_no_repr_below_unclaimed_ancestor(self):
         # the claiming discipline never leaves a claimed block under an
@@ -365,9 +370,9 @@ class TestReprPropagation:
         run = _Run(partition)
         for x in (2, 7, 11):
             block = run.locate(x, D("0.5").scaled)
-            assert block == partition.find_block(x, D("0.5")).id
+            assert block == locate_reference(partition, x, D("0.5"))
             if run.keeper[block] < 0:
                 run.claim(block, x)
         for block in partition.blocks():
-            if run.keeper[block.id] >= 0 and block.parent is not None:
-                assert run.keeper[block.parent.id] >= 0
+            if run.keeper[block.id] >= 0 and block.parent >= 0:
+                assert run.keeper[block.parent] >= 0

@@ -3,7 +3,9 @@ the order in which relations hand out their entries.
 
 ``minimize_reference`` keeps the reduction that pushes every link into one
 heap keyed by ``(-degree, insertion sequence)``; the bucket queue must give
-the same reduced interpretation, output text, trace and narrative.
+the same reduced interpretation, output text, trace and narrative.  Both run
+on ``CheckedRun``, which asserts the run's invariants after every lookup and
+claim.
 """
 
 import random
@@ -16,7 +18,7 @@ from fuzzymin.core import Degree, FuzzyRelation, ONE
 from fuzzymin.genbench import GeneratorParams, generate
 from fuzzymin.minimize import MinimizeParams, approximate_minimize
 from instances import layered_cycles, research_network, twin_stars, two_chains
-from minimize_reference import approximate_minimize_reference
+from minimize_reference import approximate_minimize_reference, checked_runs
 from strategies import FEATURE_SETS, PALETTE, feature_sets, interpretations
 
 GAMMAS = (ONE, Degree("0.7"), Degree("0.4"))
@@ -24,7 +26,9 @@ GAMMAS = (ONE, Degree("0.7"), Degree("0.4"))
 
 def observed(minimize, interp, params):
     lines = []
-    result = minimize(interp, params, debug_checks=True, narrate=lines.append)
+    with checked_runs() as runs:
+        result = minimize(interp, params, narrate=lines.append)
+    assert len(runs) == 1
     return result, write_interpretation(result.reduced), lines
 
 

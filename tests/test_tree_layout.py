@@ -20,7 +20,7 @@ from fuzzymin import (
 from fuzzymin.bisim import _encode, _refine
 from fuzzymin.core import Degree, ONE
 from fuzzymin.genbench import GeneratorParams, generate
-from fuzzymin.partition import Block, partition_from_log
+from fuzzymin.partition import CompactFuzzyPartition, partition_from_log
 from bisim_reference import cuts_from_log
 from instances import staircase
 from partition_reference import partition_from_cuts_reference, render_reference
@@ -28,13 +28,8 @@ from strategies import feature_sets, interpretation_pairs, interpretations
 
 
 def layout(partition):
-    return (
-        partition.root.id,
-        [(b.id, b.degree, b.lo, b.hi, None if b.parent is None else b.parent.id, [c.id for c in b.children])
-         for b in partition.blocks()],
-        partition.order,
-        [b.id for b in partition.leaf_of],
-    )
+    # in preorder, with children ordered, the parents fix the whole shape
+    return partition.blocks(), partition.order, partition.leaf
 
 
 def assert_same_tree(log, names):
@@ -77,10 +72,10 @@ class TestDeepTree:
         stairs = staircase(levels)
         partition, _ = auto_partition(stairs, frozenset())
         # each fuzzy block splits off its least element's leaf
-        assert partition.block_count() == 2 * levels - 1
-        depth, block = 0, partition.leaf_of[levels - 1]
-        while block.parent is not None:
-            depth, block = depth + 1, block.parent
+        assert len(partition.parent) == 2 * levels - 1
+        depth, block = 0, partition.leaf[levels - 1]
+        while partition.parent[block] >= 0:
+            depth, block = depth + 1, partition.parent[block]
         assert depth == levels - 1
         text = partition.render()
         assert text.startswith("{{x0}_1, {{x1}_1, {{x2}_1, ")
@@ -95,23 +90,22 @@ class TestDeepTree:
 
 class TestNoBlockObjects:
     def test_minimize_and_witness_build_no_block(self, monkeypatch):
-        # the reduction and the witness read the tree's arrays; Block views
-        # are built only for callers that ask for one
-        built = []
-        real = Block.__init__
+        # the reduction and the witness read the tree's arrays, never the
+        # Block tuples that ``blocks()`` builds
+        calls = []
+        real = CompactFuzzyPartition.blocks
 
-        def counting(self, *args):
-            built.append(args[0])
-            real(self, *args)
+        def counting(self):
+            calls.append(self)
+            return real(self)
 
-        monkeypatch.setattr(Block, "__init__", counting)
+        monkeypatch.setattr(CompactFuzzyPartition, "blocks", counting)
         interp = generate(GeneratorParams(3, 12, 20, 2, 10, 3, 2, 2, False, True, True, seed=5))
         for gamma in (ONE, Degree("0.5")):
             params = MinimizeParams(frozenset("IO"), gamma)
             result = approximate_minimize(interp, params)
             witness = construct_witness(interp, result, params)
             assert check_bisimulation(witness, interp, result.reduced, frozenset("IO")) == []
-        assert result.partition.block_count() > 1 and built == []
-        # the first Block-returning call builds every view, once
-        assert result.partition.root is result.partition.root
-        assert built == list(range(result.partition.block_count()))
+        assert len(result.partition.parent) > 1 and calls == []
+        assert len(result.partition.blocks()) == len(result.partition.parent)
+        assert calls == [result.partition]
